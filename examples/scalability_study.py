@@ -15,7 +15,8 @@ Usage::
 import sys
 import time
 
-from repro import baseline_config, run_app, widir_config
+from repro import baseline_config, widir_config
+from repro.api import simulate
 
 
 def main() -> None:
@@ -30,8 +31,10 @@ def main() -> None:
     reference = None
     for cores in core_counts:
         t0 = time.time()
-        base = run_app(app, baseline_config(num_cores=cores), memops)
-        widir = run_app(app, widir_config(num_cores=cores), memops)
+        base = simulate(app, config=baseline_config(num_cores=cores),
+                        memops=memops, workers=1, cache=False)
+        widir = simulate(app, config=widir_config(num_cores=cores),
+                         memops=memops, workers=1, cache=False)
         if reference is None:
             reference = base.cycles
         print(

@@ -14,7 +14,8 @@ Usage::
 import sys
 import time
 
-from repro import ALL_APPS, baseline_config, run_app, widir_config
+from repro import ALL_APPS, baseline_config
+from repro.api import simulate
 from repro.harness.sweeps import sweep_thresholds
 
 
@@ -26,7 +27,8 @@ def main() -> None:
         raise SystemExit(f"unknown app {app!r}")
 
     print(f"MaxWiredSharers sweep: {app} @ {cores} cores\n")
-    baseline = run_app(app, baseline_config(num_cores=cores), memops)
+    baseline = simulate(app, config=baseline_config(num_cores=cores),
+                        memops=memops, workers=1, cache=False)
     print(f"Baseline: {baseline.cycles:,} cycles\n")
     print(f"{'threshold':>9} {'cycles':>10} {'speedup':>8} "
           f"{'collisions':>11} {'S->W':>6} {'W->S':>6}")

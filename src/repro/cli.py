@@ -269,14 +269,6 @@ def _configure_sim_profile(parser: argparse.ArgumentParser) -> None:
         help="skip the warm-up run (include trace synthesis and import "
         "effects in the profile)",
     )
-    parser.add_argument(
-        "--batched",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="force the cohort (batched) event kernel on or off for the "
-        "profiled run; default: the process-wide kernel choice "
-        "(REPRO_BATCHED_KERNEL, on unless set falsy)",
-    )
     # Old spelling of --out; kept working but hidden from help.
     parser.add_argument(
         "--output", dest="out", default=None, help=argparse.SUPPRESS
@@ -1127,11 +1119,7 @@ def _cmd_sim_profile(args: argparse.Namespace) -> int:
     import time
     from pathlib import Path
 
-    from repro.engine.batch import batched_default, set_batched_default
     from repro.harness.runner import run_app
-
-    batched = batched_default() if args.batched is None else args.batched
-    previous_batched = set_batched_default(batched)
 
     def one_run():
         config = _config_with_mac(
@@ -1144,17 +1132,14 @@ def _cmd_sim_profile(args: argparse.Namespace) -> int:
             args.app, config, args.memops, trace_seed=args.trace_seed
         )
 
-    try:
-        if not args.cold:
-            one_run()  # warm the trace memo / imports
-        profiler = cProfile.Profile()
-        start = time.perf_counter()
-        profiler.enable()
-        result = one_run()
-        profiler.disable()
-        wall = time.perf_counter() - start
-    finally:
-        set_batched_default(previous_batched)
+    if not args.cold:
+        one_run()  # warm the trace memo / imports
+    profiler = cProfile.Profile()
+    start = time.perf_counter()
+    profiler.enable()
+    result = one_run()
+    profiler.disable()
+    wall = time.perf_counter() - start
 
     stream = io.StringIO()
     stats = pstats.Stats(profiler, stream=stream)
@@ -1163,7 +1148,6 @@ def _cmd_sim_profile(args: argparse.Namespace) -> int:
         f"# repro profile: {args.app} on {args.protocol} @ {args.cores} cores\n"
         f"# memops/core={args.memops} seed={args.seed} "
         f"trace_seed={args.trace_seed} "
-        f"kernel={'batched' if batched else 'heap'} "
         f"{'cold' if args.cold else 'warm'} sort={args.sort}\n"
         f"# simulated cycles={result.cycles:,} "
         f"wall={wall:.3f}s (uninstrumented wall is lower; "

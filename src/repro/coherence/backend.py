@@ -35,8 +35,8 @@ Contract highlights (docs/PROTOCOLS.md has the full version):
   ``messages.NUM_PROTOCOL_KINDS`` never perturb other backends'
   dispatch tables.
 * Directory entries must keep the ``sharers``-set / ``owner`` /
-  ``sharer_count`` idiom so the SoA metadata planes
-  (:mod:`repro.coherence.dir_soa`) remain a faithful mirror.
+  ``sharer_count`` idiom: the coherence checker and the trace snapshots
+  read those fields directly.
 * Factories receive the exact constructor signatures of the stock
   controllers; importing controller modules is deferred into the
   factories to keep this module import-light (config validation pulls

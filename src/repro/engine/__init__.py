@@ -1,8 +1,10 @@
 """Discrete-event simulation kernel.
 
 The engine is deliberately small: a cycle-resolution event queue
-(:class:`~repro.engine.events.EventQueue`), a simulator facade that owns the
-clock (:class:`~repro.engine.simulator.Simulator`), and a deterministic
+(:class:`~repro.engine.batch.CohortQueue`; the heap
+:class:`~repro.engine.events.EventQueue` is its ordering reference), a
+simulator facade that owns the clock
+(:class:`~repro.engine.simulator.Simulator`), and a deterministic
 splittable RNG (:class:`~repro.engine.rng.DeterministicRng`). Every other
 subsystem (caches, NoCs, coherence controllers, cores) is written as a set of
 callbacks scheduled on this kernel, which keeps whole-system runs reproducible

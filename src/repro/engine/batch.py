@@ -1,14 +1,15 @@
 """Batched epoch scheduling: the cohort (calendar) event queue.
 
-The heap-based :class:`~repro.engine.events.EventQueue` pays an O(log n)
+A binary heap (:class:`~repro.engine.events.EventQueue`) pays an O(log n)
 tuple-compare push *and* pop per event. Profiles of full runs show the
 overwhelming majority of events are scheduled a short, bounded distance
 into the future (L1 hit latencies, mesh hops, memory round trips, tone
 windows), which is the textbook calendar-queue regime: keep a ring of
 per-cycle *cohort* buckets and drain each cycle's cohort as one list walk.
 
-Ordering is **exactly** the heap's ``(time, seq)`` total order, which is
-what makes the batched kernel digest-identical to the heap kernel:
+Ordering is **exactly** the heap's ``(time, seq)`` total order: by cycle,
+then by schedule order. ``test_pop_order_matches_heap_queue`` checks it
+against :class:`~repro.engine.events.EventQueue`. Why it holds:
 
 * Within one bucket, events append in ``seq`` order (appends happen in
   schedule order and ``seq`` is monotonic), so a list walk *is* the heap
@@ -23,17 +24,16 @@ what makes the batched kernel digest-identical to the heap kernel:
 * An event scheduled for the *current* cycle during that cycle's drain
   appends to the bucket being walked and is picked up by the same walk —
   the "same-cycle cohort drains in one pass without re-entering the heap"
-  property the batched kernel exists for.
+  property the cohort queue exists for.
 
-The queue exposes the same observable surface the simulator needs
-(``schedule``, ``__len__``, ``peek_time``, ``pop``) so tests and
-diagnostics treat both kernels alike.
+Besides the bucket fields ``Simulator.run`` walks directly, the queue
+exposes ``schedule``, ``__len__``, ``peek_time`` and ``pop`` for tests and
+diagnostics.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Callable, List, Optional, Tuple
 
 from repro.engine.errors import SimulationError
@@ -45,44 +45,23 @@ from repro.engine.events import Event
 #: back as the window advances.
 COHORT_WINDOW = 4096
 
-_ENV_FLAG = "REPRO_BATCHED_KERNEL"
-_FALSY = ("0", "false", "off", "no")
-
-
-def _env_default() -> bool:
-    raw = os.environ.get(_ENV_FLAG)
-    if raw is None:
-        return True
-    return raw.strip().lower() not in _FALSY
-
-
-#: Process-wide default for new :class:`~repro.engine.simulator.Simulator`
-#: instances. The batched kernel is bit-identical to the heap kernel (see
-#: tests/test_batch_kernel.py and the golden digests), so it defaults on;
-#: ``REPRO_BATCHED_KERNEL=0`` or :func:`set_batched_default` force the heap
-#: path (the A/B baseline for benchmarks and the digest-neutrality suite).
-_batched_default = _env_default()
-
-
-def batched_default() -> bool:
-    """Whether new simulators use the cohort queue (module docstring)."""
-    return _batched_default
-
 
 def set_batched_default(enabled: bool) -> bool:
-    """Set the process-wide kernel choice; returns the previous value."""
-    global _batched_default
-    previous = _batched_default
-    _batched_default = bool(enabled)
-    return previous
+    """Pin the event kernel: ``True`` is accepted and returned, ``False``
+    raises :class:`ValueError`.
+
+    The cohort queue is the simulator's one kernel. The function stays for
+    callers that pin the kernel explicitly.
+    """
+    if not enabled:
+        raise ValueError("the simulator has one event kernel, the cohort queue")
+    return True
 
 
 class CohortQueue:
     """Cycle-bucketed event queue with heap-identical ordering.
 
-    Drop-in for :class:`~repro.engine.events.EventQueue` as far as the
-    simulator is concerned; the drain loop in ``Simulator.run`` walks the
-    buckets directly (mirroring how it walks the heap directly).
+    The drain loop in ``Simulator.run`` walks the buckets directly.
     """
 
     __slots__ = (
@@ -213,7 +192,7 @@ class CohortQueue:
     def pop(self) -> Event:
         """Remove and return the next live event (EventQueue-compatible).
 
-        Used by diagnostics and tests, not by the batched drain loop (which
+        Used by diagnostics and tests, not by the simulator's drain loop (which
         walks whole cohorts in place).
         """
         time = self.peek_time()

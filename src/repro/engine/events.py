@@ -46,7 +46,12 @@ class Event:
 
 
 class EventQueue:
-    """Deterministic min-heap of :class:`Event` objects."""
+    """Deterministic min-heap of :class:`Event` objects.
+
+    The simulator runs on :class:`~repro.engine.batch.CohortQueue`; this
+    heap is the plain statement of the ``(time, seq)`` order that the
+    cohort queue is tested against.
+    """
 
     def __init__(self) -> None:
         self._heap: List[Tuple[int, int, Event]] = []

@@ -5,8 +5,7 @@ trace file: it consumes the generator's chunk-emission seam
 (:func:`repro.workloads.generator.iter_core_trace_chunks`), so the
 recorded stream is op-for-op identical to what a live ``run_app`` of the
 same (profile, cores, memops, seed) would execute — the property the
-replay golden-digest tests lock across both kernels and every protocol
-backend.
+replay golden-digest tests lock for every protocol backend.
 
 ``convert_csv`` imports the simple external text format, one op per
 line::

@@ -132,6 +132,14 @@ class TestSurface:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_version_has_one_source(self):
+        """The package metadata reads its version from ``repro.__version__``
+        instead of pinning a second copy that can drift."""
+        pyproject = (REPO_SRC.parent / "pyproject.toml").read_text()
+        assert 'dynamic = ["version"]' in pyproject
+        assert 'version = {attr = "repro.__version__"}' in pyproject
+        assert '\nversion = "' not in pyproject
+
 
 class TestBehaviour:
     def test_simulate_returns_simulation_result(self):

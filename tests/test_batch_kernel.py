@@ -1,11 +1,11 @@
-"""Unit tests for the batched (cohort) event kernel.
+"""Unit tests for the cohort (batched) event kernel.
 
 The contract under test is the one :mod:`repro.engine.batch` documents:
-the cohort queue and the simulator's batched drain reproduce the heap
-kernel's ``(time, seq)`` total order *exactly* — same callback execution
-order, same clock values, same ``until``/``max_events``/``stop``
-semantics — including the awkward corners (spill-heap crossover, events
-scheduled for the current cycle mid-drain, tombstone-only cohorts).
+the cohort queue and the simulator's drain keep the ``(time, seq)`` total
+order of a plain heap *exactly* — same callback execution order, same
+clock values, same ``until``/``max_events``/``stop`` semantics —
+including the awkward corners (spill-heap crossover, events scheduled for
+the current cycle mid-drain, tombstone-only cohorts).
 The golden-digest suite proves the same thing end-to-end on full runs;
 these tests pin each mechanism in isolation so a violation fails with a
 readable diff instead of a digest mismatch.
@@ -13,12 +13,7 @@ readable diff instead of a digest mismatch.
 
 import pytest
 
-from repro.engine.batch import (
-    COHORT_WINDOW,
-    CohortQueue,
-    batched_default,
-    set_batched_default,
-)
+from repro.engine.batch import COHORT_WINDOW, CohortQueue, set_batched_default
 from repro.engine.errors import SimulationError
 from repro.engine.events import EventQueue
 from repro.engine.simulator import Simulator
@@ -105,26 +100,22 @@ class TestCohortQueue:
 
 
 class TestBatchedSimulatorParity:
-    """The batched drain must be observation-identical to the heap drain."""
+    """The simulator's drain keeps the queue's ``(time, seq)`` order and
+    the ``until``/``max_events``/``stop`` semantics."""
 
-    def _run_both(self, populate, **run_kwargs):
-        results = []
-        for batched in (False, True):
-            sim = Simulator(batched=batched)
-            fired = []
-            populate(sim, fired)
-            end = sim.run(**run_kwargs)
-            results.append((fired, end, sim.events_executed))
-        heap_result, batched_result = results
-        assert batched_result == heap_result
-        return batched_result
+    def _run(self, populate, **run_kwargs):
+        sim = Simulator()
+        fired = []
+        populate(sim, fired)
+        end = sim.run(**run_kwargs)
+        return fired, end, sim.events_executed
 
     def test_kernel_flag_selects_queue(self):
-        assert isinstance(Simulator(batched=True).queue, CohortQueue)
-        assert isinstance(Simulator(batched=False).queue, EventQueue)
+        assert Simulator.batched is True
+        assert isinstance(Simulator().queue, CohortQueue)
 
     def test_full_drain_order_and_clock(self):
-        fired, end, executed = self._run_both(_mixed_schedule)
+        fired, end, executed = self._run(_mixed_schedule)
         assert fired == [
             "now", "a@3", "b@3", "re@5", "re-same@5", "re-later@7", "far",
         ]
@@ -132,69 +123,61 @@ class TestBatchedSimulatorParity:
         assert executed == 7
 
     def test_until_bound_leaves_clock_at_until(self):
-        fired, end, _ = self._run_both(_mixed_schedule, until=6)
+        fired, end, _ = self._run(_mixed_schedule, until=6)
         assert fired == ["now", "a@3", "b@3", "re@5", "re-same@5"]
         assert end == 6
 
     def test_max_events_raises_before_excess_callback(self):
-        for batched in (False, True):
-            sim = Simulator(batched=batched)
-            fired = []
-            for i in range(5):
-                sim.schedule(1, lambda i=i: fired.append(i))
-            with pytest.raises(SimulationError):
-                sim.run(max_events=3)
-            assert fired == [0, 1, 2], f"batched={batched}"
+        sim = Simulator()
+        fired = []
+        for i in range(5):
+            sim.schedule(1, lambda i=i: fired.append(i))
+        with pytest.raises(SimulationError):
+            sim.run(max_events=3)
+        assert fired == [0, 1, 2]
 
     def test_stop_mid_cohort_keeps_tail(self):
-        def populate(sim, fired):
-            sim.schedule(1, lambda: fired.append("first"))
-            sim.schedule(1, sim.stop)
-            sim.schedule(1, lambda: fired.append("tail"))
-
-        for batched in (False, True):
-            sim = Simulator(batched=batched)
-            fired = []
-            populate(sim, fired)
-            sim.run()
-            assert fired == ["first"], f"batched={batched}"
-            assert sim.pending_events == 1, f"batched={batched}"
-            sim.run()  # resuming drains the kept tail
-            assert fired == ["first", "tail"], f"batched={batched}"
+        sim = Simulator()
+        fired = []
+        sim.schedule(1, lambda: fired.append("first"))
+        sim.schedule(1, sim.stop)
+        sim.schedule(1, lambda: fired.append("tail"))
+        sim.run()
+        assert fired == ["first"]
+        assert sim.pending_events == 1
+        sim.run()  # resuming drains the kept tail
+        assert fired == ["first", "tail"]
 
     def test_tombstone_only_cohort_does_not_advance_clock(self):
-        # A cycle whose every event was cancelled must not become ``now``
-        # (the heap path pops dead heads before reading the time).
-        for batched in (False, True):
-            sim = Simulator(batched=batched)
-            seen = []
-            dead_a = sim.schedule(2, lambda: pytest.fail("dead ran"))
-            dead_b = sim.schedule(2, lambda: pytest.fail("dead ran"))
-            sim.schedule(9, lambda: seen.append(sim.now))
-            dead_a.cancel()
-            dead_b.cancel()
-            sim.run()
-            assert seen == [9], f"batched={batched}"
+        # A cycle whose every event was cancelled must not become ``now``.
+        sim = Simulator()
+        seen = []
+        dead_a = sim.schedule(2, lambda: pytest.fail("dead ran"))
+        dead_b = sim.schedule(2, lambda: pytest.fail("dead ran"))
+        sim.schedule(9, lambda: seen.append(sim.now))
+        dead_a.cancel()
+        dead_b.cancel()
+        sim.run()
+        assert seen == [9]
 
     def test_cancel_during_same_cycle_cohort(self):
         # An event cancelled by an earlier event of the SAME cycle must not
-        # run — in either kernel, whatever list/heap position it holds.
-        for batched in (False, True):
-            sim = Simulator(batched=batched)
-            fired = []
-            victim = sim.schedule(4, lambda: fired.append("victim"))
-            sim.schedule(4, lambda: fired.append("killer"))
-            # killer is scheduled after victim, so victim fires first; kill
-            # a later same-cycle event from the first one instead:
-            victim2 = sim.schedule(4, lambda: fired.append("victim2"))
-            victim.callback = lambda: (fired.append("assassin"), victim2.cancel())
-            sim.run()
-            assert fired == ["assassin", "killer"], f"batched={batched}"
+        # run, whatever its position in the cohort.
+        sim = Simulator()
+        fired = []
+        victim = sim.schedule(4, lambda: fired.append("victim"))
+        sim.schedule(4, lambda: fired.append("killer"))
+        # killer is scheduled after victim, so victim fires first; kill
+        # a later same-cycle event from the first one instead:
+        victim2 = sim.schedule(4, lambda: fired.append("victim2"))
+        victim.callback = lambda: (fired.append("assassin"), victim2.cancel())
+        sim.run()
+        assert fired == ["assassin", "killer"]
 
     def test_long_horizon_rescheduling_chain(self):
         # A self-rescheduling event that hops half a window each time walks
-        # the ring across many advance_base re-centerings; the heap kernel
-        # trivially agrees — both must end at the same cycle and count.
+        # the ring across many advance_base re-centerings and must keep
+        # the exact cycle of every hop.
         hop = COHORT_WINDOW // 2 + 7
 
         def populate(sim, fired):
@@ -205,7 +188,7 @@ class TestBatchedSimulatorParity:
 
             sim.schedule(0, lambda: tick(10))
 
-        fired, end, executed = self._run_both(populate)
+        fired, end, executed = self._run(populate)
         assert fired == [i * hop for i in range(11)]
         assert end == 10 * hop
         assert executed == 11
@@ -213,23 +196,9 @@ class TestBatchedSimulatorParity:
 
 class TestBatchedDefault:
     def test_set_batched_default_round_trips(self):
-        original = batched_default()
-        try:
-            previous = set_batched_default(not original)
-            assert previous == original
-            assert batched_default() == (not original)
-            assert Simulator().batched == (not original)
-        finally:
-            set_batched_default(original)
-
-    def test_env_flag_parsing(self, monkeypatch):
-        from repro.engine import batch
-
-        for raw, expected in [
-            ("0", False), ("false", False), ("off", False), ("no", False),
-            ("1", True), ("true", True), ("", True), ("weird", True),
-        ]:
-            monkeypatch.setenv("REPRO_BATCHED_KERNEL", raw)
-            assert batch._env_default() is expected, raw
-        monkeypatch.delenv("REPRO_BATCHED_KERNEL")
-        assert batch._env_default() is True
+        # The cohort queue is the only kernel: True is accepted and comes
+        # back, False is refused.
+        assert set_batched_default(True) is True
+        with pytest.raises(ValueError):
+            set_batched_default(False)
+        assert Simulator.batched is True

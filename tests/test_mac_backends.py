@@ -6,7 +6,7 @@ wireless path dominates). The stream's final memory image is
 interleaving-independent — one writer per variable plus a commutative
 RMW counter — so four different channel disciplines must converge on one
 answer, while per-MAC golden digests pin each discipline's exact timing
-and observation history (bit-identical under both simulation kernels).
+and observation history.
 
 Channel-error variants run the same stream with seeded frame corruption
 and missed tones, proving every MAC's retransmit path under the same
@@ -56,8 +56,7 @@ OPS_PER_CORE = 40
 #: history + final image), plus ``<mac>+err`` variants with the seeded
 #: channel-error model on. Regenerate deliberately with
 #: ``python -m tests.test_mac_backends`` after an intentional MAC change;
-#: an unexplained diff is a semantic regression. The digests must be
-#: identical under both kernels (REPRO_BATCHED_KERNEL).
+#: an unexplained diff is a semantic regression.
 GOLDEN_MAC_DIGESTS = {
     "brs": "98f33512bec98f78",
     "csma_slotted": "ffce035d8e91edcf",
@@ -256,7 +255,7 @@ def test_differential_stream_matches_golden_digest(mac):
     assert mac in GOLDEN_MAC_DIGESTS, f"pin a golden digest for {mac}"
     assert digest == GOLDEN_MAC_DIGESTS[mac], (
         f"{mac} digest drifted: {digest} != {GOLDEN_MAC_DIGESTS[mac]} — "
-        "a semantic change to this MAC (or a kernel divergence)"
+        "a semantic change to this MAC (or an event-order change)"
     )
 
 

@@ -8,9 +8,9 @@ makes the image a cross-protocol oracle: four different state machines,
 four different interleavings, one answer.
 
 Per-backend golden digests additionally pin each protocol's exact timing
-and observation history, so a semantic drift in any one backend (or a
-kernel divergence — the batched and event kernels must be bit-identical)
-shows up as a digest diff even when the final image stays right.
+and observation history, so a semantic drift in any one backend (or in
+the event kernel's ordering) shows up as a digest diff even when the
+final image stays right.
 
 The pure transition helpers the rival backends are built from
 (``pp_select``/``pp_next_phase``, ``hyb_should_enter``/``hyb_should_exit``
@@ -54,8 +54,7 @@ OPS_PER_CORE = 40
 #: Per-backend golden digests of the differential stream (cycles +
 #: observation history + final image). Regenerate deliberately with
 #: ``python -m tests.test_protocol_backends`` after an intentional
-#: protocol change; an unexplained diff is a semantic regression. The
-#: digests must be identical under both kernels (REPRO_BATCHED_KERNEL).
+#: protocol change; an unexplained diff is a semantic regression.
 GOLDEN_DIGESTS = {
     "baseline": "fa44e1c3c3a53d56",
     "hybrid_update": "5ba7ab55780cec2e",
@@ -226,7 +225,7 @@ def test_differential_stream_matches_golden_digest(name):
     assert name in GOLDEN_DIGESTS, f"pin a golden digest for {name}"
     assert digest == GOLDEN_DIGESTS[name], (
         f"{name} digest drifted: {digest} != {GOLDEN_DIGESTS[name]} — "
-        "a semantic change to this backend (or a kernel divergence)"
+        "a semantic change to this backend (or an event-order change)"
     )
 
 

@@ -4,8 +4,8 @@ Three locks, in increasing strength:
 
 1. **Live ≡ replay** — recording an application's reference stream and
    replaying it continuously produces a result digest byte-identical to
-   a live ``run_app`` of the same (app, cores, memops, seed), under both
-   kernels and every registered protocol backend. The digests are
+   a live ``run_app`` of the same (app, cores, memops, seed), under
+   every registered protocol backend. The digests are
    additionally pinned as goldens, so the *recorded stream itself*
    cannot drift without a diff here.
 
@@ -35,7 +35,6 @@ import pytest
 import repro
 from repro.coherence.backend import backend_names
 from repro.config.presets import protocol_config
-from repro.engine.batch import batched_default, set_batched_default
 from repro.harness.executor import Executor, ExperimentPlan, RunRequest, run_key
 from repro.harness.runner import run_app
 from repro.traces import (
@@ -57,8 +56,8 @@ SEED = 42
 CHUNK_RECORDS = 64
 
 #: Continuous-replay digests per backend, equal to the live ``run_app``
-#: digest of the same workload by construction (asserted below) and
-#: identical under both kernels. Regenerate deliberately with
+#: digest of the same workload by construction (asserted below).
+#: Regenerate deliberately with
 #: ``python -m tests.test_traces_replay`` after an intentional protocol
 #: or generator change; an unexplained diff means the recorded stream or
 #: the replay path drifted from the live machine.
@@ -83,19 +82,6 @@ def _config(protocol: str):
     return protocol_config(protocol, num_cores=CORES, seed=SEED)
 
 
-def _both_kernels(fn):
-    """Run ``fn()`` under the event kernel and the batched kernel."""
-    outputs = []
-    original = batched_default()
-    try:
-        for batched in (False, True):
-            set_batched_default(batched)
-            outputs.append(fn())
-    finally:
-        set_batched_default(original)
-    return outputs
-
-
 # ------------------------------------------------- live ≡ replay goldens
 
 
@@ -103,14 +89,10 @@ def _both_kernels(fn):
 def test_replay_matches_live_run(trace_path, protocol):
     config = _config(protocol)
 
-    def once():
-        live = run_app(APP, config, MEMOPS, TRACE_SEED)
-        replayed = replay_trace(trace_path, config)
-        return result_digest(live), result_digest(replayed)
-
-    for live_digest, replay_digest in _both_kernels(once):
-        assert replay_digest == live_digest
-        assert replay_digest == GOLDEN_REPLAY_DIGESTS[protocol]
+    live_digest = result_digest(run_app(APP, config, MEMOPS, TRACE_SEED))
+    replay_digest = result_digest(replay_trace(trace_path, config))
+    assert replay_digest == live_digest
+    assert replay_digest == GOLDEN_REPLAY_DIGESTS[protocol]
 
 
 def test_replay_rejects_core_count_mismatch(trace_path):
@@ -128,12 +110,9 @@ def test_replay_rejects_wrong_trace_id(trace_path):
 
 def test_segmented_replay_is_deterministic_and_kernel_invariant(trace_path):
     config = _config("widir")
-    digests = _both_kernels(
-        lambda: result_digest(replay_trace(trace_path, config, snapshot_every=2))
-    )
-    assert digests[0] == digests[1]
+    first = result_digest(replay_trace(trace_path, config, snapshot_every=2))
     again = result_digest(replay_trace(trace_path, config, snapshot_every=2))
-    assert again == digests[0]
+    assert again == first
 
 
 def test_resume_from_durable_snapshot_matches_uninterrupted(
@@ -236,15 +215,13 @@ _CHILD_SCRIPT = textwrap.dedent(
 )
 
 
-@pytest.mark.parametrize("batched", ["0", "1"])
-def test_sigkill_resume_identity_subprocess(trace_path, tmp_path, batched):
+def test_sigkill_resume_identity_subprocess(trace_path, tmp_path):
     """Real SIGKILL mid-trace, then resume: digest equals uninterrupted."""
     script = _CHILD_SCRIPT.format(cores=CORES, seed=SEED)
     snap = tmp_path / "killed.snap"
     env = dict(os.environ)
     src_root = str(Path(repro.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
-    env["REPRO_BATCHED_KERNEL"] = batched
 
     def child(phase):
         return subprocess.run(
