@@ -106,12 +106,10 @@ def bench_cores():
 
 #: Per-benchmark wall-clock, filled by pytest_runtest_logreport.
 _BENCH_TIMINGS = {}
-#: Free-form metrics from the kernel microbenchmarks (speedup ratios,
-#: measured wall seconds); lands under ``"kernel"`` in BENCH_harness.json.
+#: Metrics from benchmarks/test_bench_kernel.py (COW snapshot ratio,
+#: real fig10 pair wall seconds); lands under ``"kernel"`` in
+#: BENCH_harness.json.
 _KERNEL_METRICS = {}
-#: Batched-kernel A/B metrics (batched vs PR2 fast path vs seed); lands
-#: under ``"kernel_batched"``.
-_KERNEL_BATCHED_METRICS = {}
 #: Observability-overhead metrics (enabled/disabled wall ratios) from
 #: benchmarks/test_bench_obs.py; lands under ``"obs"``.
 _OBS_METRICS = {}
@@ -127,9 +125,9 @@ _DISTRIBUTED_METRICS = {}
 #: cold round that fills that blind spot.
 _EXECUTOR_COLD_METRICS = {}
 #: Streaming trace-replay metrics (record/scan/replay refs/s, bounded-
-#: memory peaks, replay-vs-live ratio) from
+#: memory peaks, replay speedup over live) from
 #: benchmarks/test_bench_trace_replay.py; lands under ``"trace_replay"``
-#: and CI drift-gates ``replay_vs_live``.
+#: and CI drift-gates ``replay_speedup_vs_live``.
 _TRACE_REPLAY_METRICS = {}
 #: Cross-MAC comparison metrics (per-MAC geomean cycle ratios vs brs)
 #: from benchmarks/test_bench_macs.py; lands under ``"mac"`` and is
@@ -142,13 +140,6 @@ _SESSION_STARTED = time.time()
 def kernel_metrics():
     """Mutable dict benchmarks fill; emitted as the ``kernel`` section."""
     return _KERNEL_METRICS
-
-
-@pytest.fixture(scope="session")
-def kernel_batched_metrics():
-    """Mutable dict for the batched-kernel A/B gate; emitted as
-    ``kernel_batched``."""
-    return _KERNEL_BATCHED_METRICS
 
 
 @pytest.fixture(scope="session")
@@ -174,7 +165,7 @@ def executor_cold_metrics():
 @pytest.fixture(scope="session")
 def trace_replay_metrics():
     """Mutable dict the trace-replay benchmark fills; emitted as
-    ``trace_replay`` (CI drift-gates ``replay_vs_live``)."""
+    ``trace_replay`` (CI drift-gates ``replay_speedup_vs_live``)."""
     return _TRACE_REPLAY_METRICS
 
 
@@ -233,8 +224,6 @@ def pytest_sessionfinish(session, exitstatus):
     }
     if _KERNEL_METRICS:
         payload["kernel"] = dict(sorted(_KERNEL_METRICS.items()))
-    if _KERNEL_BATCHED_METRICS:
-        payload["kernel_batched"] = dict(sorted(_KERNEL_BATCHED_METRICS.items()))
     if _OBS_METRICS:
         payload["obs"] = dict(sorted(_OBS_METRICS.items()))
     if _DISTRIBUTED_METRICS:

@@ -23,8 +23,8 @@ the distributed digest is byte-identical to a single-box
 :func:`~repro.harness.campaign.run_campaign` of the same spec.
 
 Results land under ``"distributed"`` in BENCH_harness.json; CI re-runs
-this file and fails on >20% drift of ``speedup_4x`` against the committed
-baseline (same contract as the ``kernel_batched`` gate).
+this file and fails on >20% drift of ``speedup_2x``/``speedup_4x``
+against the committed baseline.
 """
 
 from repro.harness.campaign import CampaignSpec, run_campaign

@@ -18,11 +18,12 @@ Memory boundedness is asserted two ways, both machine-portable:
   memory image) is common to both sides, so replay may only add O(chunk)
   of reader state on top — never a resident copy of the trace.
 
-The drift-gated ratio is ``replay_vs_live``: continuous replay wall
-seconds vs a live ``run_app`` of the identical workload, measured in the
-same session on the same box (the replay digest is asserted equal to the
-live digest first, so the ratio always compares identical work). CI
-fails on >20% drift against the committed BENCH_harness.json.
+The drift-gated ratio is ``replay_speedup_vs_live``: live ``run_app``
+wall seconds divided by continuous replay wall seconds of the identical
+workload, so above 1 means replay is faster. Both sides run in the same
+session on the same box, and the replay digest is asserted equal to the
+live digest first, so the ratio always compares identical work. CI fails
+on >20% drift against the committed BENCH_harness.json.
 """
 
 import os
@@ -125,9 +126,9 @@ def test_bench_trace_replay(tmp_path, trace_replay_metrics):
     replayed = replay_trace(live_trace, config)
     replay_small_seconds = time.perf_counter() - t0
     assert result_digest(replayed) == result_digest(live), (
-        "replay_vs_live compared different work: digests diverge"
+        "replay_speedup_vs_live compared different work: digests diverge"
     )
-    replay_vs_live = live_seconds / replay_small_seconds
+    replay_speedup_vs_live = live_seconds / replay_small_seconds
 
     # Identical workload, identical machine footprint on both sides: the
     # replay side may only add O(chunk) of reader state, so its peak must
@@ -163,7 +164,7 @@ def test_bench_trace_replay(tmp_path, trace_replay_metrics):
     print(
         f"  memory : live {peak_live / 1e6:.1f} MB, "
         f"replay {peak_replay / 1e6:.1f} MB; "
-        f"replay_vs_live {replay_vs_live:.2f}x "
+        f"replay_speedup_vs_live {replay_speedup_vs_live:.2f}x "
         f"(live {live_seconds:.2f}s, replay {replay_small_seconds:.2f}s)"
     )
 
@@ -179,7 +180,7 @@ def test_bench_trace_replay(tmp_path, trace_replay_metrics):
             "scan_peak_mb": round(scan_peak / 1e6, 2),
             "live_peak_mb": round(peak_live / 1e6, 2),
             "replay_peak_mb": round(peak_replay / 1e6, 2),
-            "replay_vs_live": round(replay_vs_live, 3),
+            "replay_speedup_vs_live": round(replay_speedup_vs_live, 3),
             "live_digest_identical": True,
             "cores": _CORES,
         }

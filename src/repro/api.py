@@ -19,9 +19,8 @@ Stability contract (see docs/API.md):
 
 * every name in ``__all__`` keeps its signature and result type across
   minor releases; additions are keyword-only with defaults;
-* replaced entry points keep working for one release behind
-  ``DeprecationWarning`` shims (e.g. the top-level ``repro.run_app`` /
-  ``repro.run_pair``);
+* the 1.1 shims (the top-level ``repro.run_app`` / ``repro.run_pair``
+  and the old CLI spellings) were removed in 1.2;
 * importing this module stays cheap: nothing beyond what
   ``repro.harness`` already loads — verification, observability export,
   and campaign machinery are imported lazily inside the functions that

@@ -33,14 +33,11 @@ campaign submit     push pending runs into a running coordinator
 
 The ``trace`` noun is the *observability* layer (captures, timelines);
 the ``traces`` noun is the *recorded-trace* subsystem (the canonical
-chunked/compressed file format of :mod:`repro.traces`). The old
-single-word spellings (``repro run``, ``repro compare``, ``repro
-figure``, ``repro apps``, ``repro profile``, bare ``repro verify``) and
-the singular ``repro trace record/convert/info/validate/replay``
-spellings still work for one release as hidden aliases that print a
-deprecation notice to stderr. Shared options are declared once on parent
-parsers: ``--workers``/``--no-cache`` (execution), ``--cores``/
-``--memops``/``--seed`` (machine), ``--out`` (output path).
+chunked/compressed file format of :mod:`repro.traces`). Every noun
+requires a verb; the pre-1.2 single-word spellings were removed in 1.2
+(docs/API.md). Shared options are declared once on parent parsers:
+``--workers``/``--no-cache`` (execution), ``--cores``/``--memops``/
+``--seed`` (machine), ``--out`` (output path).
 
 Simulations execute through :mod:`repro.harness.executor` (dedup +
 on-disk memoization, ``REPRO_CACHE_DIR``, ``--no-cache``, ``--workers``);
@@ -140,24 +137,6 @@ CLI_COMMANDS: Tuple[Tuple[str, ...], ...] = (
     ("campaign", "worker"),
     ("campaign", "submit"),
 )
-
-#: Old spelling -> new spelling, for the deprecation notices.
-DEPRECATED_ALIASES = {
-    "run": "sim run",
-    "compare": "sim compare",
-    "profile": "sim profile",
-    "figure": "figure render",
-    "apps": "apps list",
-    "verify": "verify run",
-    # The recorded-trace verbs briefly shipped under the singular noun;
-    # they now live on `traces` (the `trace` noun is the obs layer).
-    "trace record": "traces record",
-    "trace convert": "traces convert",
-    "trace info": "traces info",
-    "trace validate": "traces validate",
-    "trace replay": "traces replay",
-}
-
 
 # -------------------------------------------------------- parent parsers
 
@@ -268,10 +247,6 @@ def _configure_sim_profile(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="skip the warm-up run (include trace synthesis and import "
         "effects in the profile)",
-    )
-    # Old spelling of --out; kept working but hidden from help.
-    parser.add_argument(
-        "--output", dest="out", default=None, help=argparse.SUPPRESS
     )
 
 
@@ -798,7 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = nouns.add_parser(
         "verify", help="protocol verification campaigns"
     )
-    verify_verbs = verify.add_subparsers(dest="verb")
+    verify_verbs = verify.add_subparsers(dest="verb", required=True)
     verify_run = verify_verbs.add_parser(
         "run", help="run a verification campaign (litmus + fuzzing)"
     )
@@ -807,8 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
         "replay", help="re-execute a failure artifact"
     )
     replay.add_argument("artifact", help="path to the artifact JSON")
-    # Old spelling: bare `repro verify --campaign ...` (no verb).
-    _configure_verify_opts(verify)
 
     # ---- trace ---------------------------------------------------------
     trace = nouns.add_parser(
@@ -943,101 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _configure_campaign_submit(campaign_submit)
 
-    # ---- hidden deprecated aliases ------------------------------------
-    legacy_run = nouns.add_parser(
-        "run", parents=[_machine_parent(), execution]
-    )
-    _configure_sim_run(legacy_run)
-    legacy_run.set_defaults(command="sim", verb="run", _deprecated="run")
-    legacy_compare = nouns.add_parser(
-        "compare", parents=[_machine_parent(), execution]
-    )
-    _configure_sim_compare(legacy_compare)
-    legacy_compare.set_defaults(
-        command="sim", verb="compare", _deprecated="compare"
-    )
-    legacy_profile = nouns.add_parser(
-        "profile",
-        parents=[
-            _machine_parent(cores=64),
-            _out_parent(None, "report path"),
-        ],
-    )
-    _configure_sim_profile(legacy_profile)
-    legacy_profile.set_defaults(
-        command="sim", verb="profile", _deprecated="profile"
-    )
-    # `repro apps` (no verb) must keep working: the canonical `apps` parser
-    # above requires a verb, so route the bare spelling through a default.
-    apps_verbs.required = False
-    apps.set_defaults(verb="list")
-
-    # Singular spellings of the recorded-trace verbs (`repro trace record`
-    # etc.) route to the `traces` noun with a deprecation notice; the
-    # `trace` noun itself stays the observability layer.
-    for verb, configure in (
-        ("record", _configure_traces_record),
-        ("convert", _configure_traces_convert),
-        ("info", _configure_traces_info),
-        ("validate", _configure_traces_validate),
-        ("replay", _configure_traces_replay),
-    ):
-        parents = []
-        if verb == "record":
-            parents = [
-                _machine_parent(),
-                _out_parent(None, "trace output path (required)"),
-            ]
-        elif verb == "convert":
-            parents = [_out_parent(None, "trace output path (required)")]
-        legacy = trace_verbs.add_parser(verb, parents=parents)
-        configure(legacy)
-        legacy.set_defaults(
-            command="traces", verb=verb, _deprecated=f"trace {verb}"
-        )
-
     return parser
-
-
-def _rewrite_legacy_argv(argv: List[str]) -> tuple:
-    """Map old command spellings onto the noun-verb grammar.
-
-    ``repro figure <artifact>`` (old) becomes ``repro figure render
-    <artifact>``; the pure renames (``run``/``compare``/``profile``) are
-    handled by hidden alias subparsers instead. Returns the possibly
-    rewritten argv plus the deprecated spelling used (or ``None``).
-    """
-    if (
-        len(argv) >= 2
-        and argv[0] == "figure"
-        and argv[1] not in ("render", "-h", "--help")
-    ):
-        return ["figure", "render"] + list(argv[1:]), "figure"
-    return list(argv), None
-
-
-def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
-    if argv is None:
-        argv = sys.argv[1:]
-    argv, legacy = _rewrite_legacy_argv(list(argv))
-    args = build_parser().parse_args(argv)
-    if legacy is not None:
-        args._deprecated = legacy
-    # Bare `repro verify ...` (no verb) is the old spelling of `verify run`.
-    if args.command == "verify" and getattr(args, "verb", None) is None:
-        args.verb = "run"
-        args._deprecated = "verify"
-    return args
-
-
-def _warn_deprecated(args: argparse.Namespace) -> None:
-    old = getattr(args, "_deprecated", None)
-    if old:
-        print(
-            f"repro: `repro {old}` is deprecated; use "
-            f"`repro {DEPRECATED_ALIASES[old]}` (see docs/API.md)",
-            file=sys.stderr,
-        )
 
 
 # ------------------------------------------------------------- handlers
@@ -1944,8 +1823,7 @@ def _cmd_campaign_submit(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = _parse_args(argv)
-    _warn_deprecated(args)
+    args = build_parser().parse_args(argv)
     handlers = {
         ("sim", "run"): _cmd_sim_run,
         ("sim", "compare"): _cmd_sim_compare,

@@ -539,6 +539,36 @@ class Campaign:
             )
         return campaign
 
+    @classmethod
+    def open_or_create(
+        cls,
+        directory: Union[str, Path],
+        spec: Optional[CampaignSpec] = None,
+        resume: bool = True,
+    ) -> "Campaign":
+        """Create the campaign in ``directory`` from ``spec``, or open the
+        one already there.
+
+        An existing campaign must have been declared with ``spec`` (when
+        one is given), and with ``resume=False`` it is an error. Without
+        ``spec`` the directory must already hold a campaign.
+        """
+        directory = Path(directory)
+        if spec is not None and not (directory / MANIFEST_NAME).exists():
+            return cls.create(directory, spec)
+        campaign = cls.load(directory)
+        if spec is not None and campaign.spec != spec:
+            raise CampaignError(
+                f"campaign at {directory} was declared with a different "
+                "spec; use a fresh --out directory"
+            )
+        if not resume:
+            raise CampaignError(
+                f"campaign already exists at {directory} (resume it, or "
+                "pick a fresh --out directory)"
+            )
+        return campaign
+
     # ------------------------------------------------------------- journal
 
     def _replay_journal(self) -> Tuple[Dict[str, Dict], List[Dict], List[int]]:
@@ -962,26 +992,7 @@ def run_campaign(
     otherwise (``resume=True``) validates that the on-disk spec matches and
     resumes. Without ``spec``: loads an existing campaign.
     """
-    directory = Path(directory)
-    if (directory / MANIFEST_NAME).exists():
-        campaign = Campaign.load(directory)
-        if spec is not None and campaign.spec != spec:
-            raise CampaignError(
-                f"campaign at {directory} was declared with a different "
-                "spec; use a fresh --out directory"
-            )
-        if not resume:
-            raise CampaignError(
-                f"campaign already exists at {directory} (resume it, or "
-                "pick a fresh --out directory)"
-            )
-    else:
-        if spec is None:
-            raise CampaignError(
-                f"{directory} is not a campaign directory "
-                f"(missing {MANIFEST_NAME})"
-            )
-        campaign = Campaign.create(directory, spec)
+    campaign = Campaign.open_or_create(directory, spec, resume=resume)
     return campaign.run(
         supervisor=supervisor,
         executor=executor,

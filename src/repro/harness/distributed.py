@@ -55,9 +55,7 @@ from repro.config.system import SystemConfig
 from repro.harness.campaign import (
     CHECKPOINT_SCHEMA_VERSION,
     Campaign,
-    CampaignError,
     CampaignSpec,
-    MANIFEST_NAME,
 )
 from repro.harness.executor import Executor, RunRequest, _simulate, run_key
 from repro.harness.ioutils import atomic_write_json
@@ -1233,26 +1231,6 @@ class DistributedReport:
 # ------------------------------------------------------------------ facade
 
 
-def _load_or_create(
-    directory: Union[str, Path], spec: Optional[CampaignSpec]
-) -> Campaign:
-    directory = Path(directory)
-    if (directory / MANIFEST_NAME).exists():
-        campaign = Campaign.load(directory)
-        if spec is not None and campaign.spec != spec:
-            raise CampaignError(
-                f"campaign at {directory} was declared with a different "
-                "spec; use a fresh --out directory"
-            )
-        return campaign
-    if spec is None:
-        raise CampaignError(
-            f"{directory} is not a campaign directory (missing "
-            f"{MANIFEST_NAME})"
-        )
-    return Campaign.create(directory, spec)
-
-
 def run_distributed(
     directory: Union[str, Path],
     spec: Optional[CampaignSpec] = None,
@@ -1288,7 +1266,7 @@ def run_distributed(
     import multiprocessing
     import sys
 
-    campaign = _load_or_create(directory, spec)
+    campaign = Campaign.open_or_create(directory, spec)
     telemetry = telemetry if telemetry is not None else CampaignTelemetry()
     coordinator = Coordinator(
         campaign,

@@ -3,14 +3,13 @@
 The contract (docs/API.md): every name in ``repro.api.__all__`` keeps its
 signature across minor releases, results are typed objects, importing the
 facade stays cheap (no verification/observability/campaign machinery at
-module load), and replaced entry points keep working for one release
-behind ``DeprecationWarning``.
+module load), and the top-level ``repro`` namespace lists only the stable
+names (the 1.1 ``run_app``/``run_pair`` shims were removed in 1.2).
 """
 
 import inspect
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -140,6 +139,16 @@ class TestSurface:
         assert 'version = {attr = "repro.__version__"}' in pyproject
         assert '\nversion = "' not in pyproject
 
+    def test_unknown_attribute_still_raises(self):
+        for name in ("definitely_not_a_thing", "run_app", "run_pair"):
+            with pytest.raises(AttributeError):
+                getattr(repro, name)
+
+    def test_dir_lists_the_stable_surface(self):
+        listing = dir(repro)
+        assert listing == sorted(repro.__all__)
+        assert "api" in listing and "run_app" not in listing
+
 
 class TestBehaviour:
     def test_simulate_returns_simulation_result(self):
@@ -202,39 +211,3 @@ class TestBehaviour:
         with_obs.pop("config"), without.pop("config")
         assert with_obs == without
         assert traced.capture["spans"] or traced.capture["events"]
-
-
-class TestDeprecationShims:
-    def test_run_app_warns_but_works(self):
-        from repro.config.presets import widir_config
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = repro.run_app
-        assert any(
-            issubclass(w.category, DeprecationWarning)
-            and "repro.api.simulate" in str(w.message)
-            for w in caught
-        )
-        result = legacy("volrend", widir_config(num_cores=4), 100)
-        assert isinstance(result, SimulationResult)
-
-    def test_run_pair_warns_but_works(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = repro.run_pair
-        assert any(
-            issubclass(w.category, DeprecationWarning)
-            and "repro.api.compare" in str(w.message)
-            for w in caught
-        )
-        base, widir = legacy("volrend", num_cores=4, memops_per_core=100)
-        assert base.cycles > 0 and widir.cycles > 0
-
-    def test_unknown_attribute_still_raises(self):
-        with pytest.raises(AttributeError):
-            repro.definitely_not_a_thing
-
-    def test_dir_lists_the_stable_surface(self):
-        listing = dir(repro)
-        assert "api" in listing and "run_app" in listing

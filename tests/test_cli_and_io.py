@@ -44,14 +44,17 @@ class TestSerialization:
 
 class TestCli:
     def test_run_command(self, capsys):
-        assert main(["run", "volrend", "--cores", "8", "--memops", "150"]) == 0
+        assert main(
+            ["sim", "run", "volrend", "--cores", "8", "--memops", "150"]
+        ) == 0
         out = capsys.readouterr().out
         assert "L1 MPKI" in out
         assert "wireless writes" in out
 
     def test_run_json_output(self, capsys):
         assert main(
-            ["run", "volrend", "--cores", "8", "--memops", "150", "--json"]
+            ["sim", "run", "volrend", "--cores", "8", "--memops", "150",
+             "--json"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["app"] == "volrend"
@@ -59,46 +62,49 @@ class TestCli:
 
     def test_run_baseline_protocol(self, capsys):
         assert main(
-            ["run", "volrend", "--protocol", "baseline", "--cores", "8",
-             "--memops", "150"]
+            ["sim", "run", "volrend", "--protocol", "baseline", "--cores",
+             "8", "--memops", "150"]
         ) == 0
         assert "baseline" in capsys.readouterr().out
 
     def test_compare_command(self, capsys):
-        assert main(["compare", "volrend", "--cores", "8", "--memops", "150"]) == 0
+        assert main(
+            ["sim", "compare", "volrend", "--cores", "8", "--memops", "150"]
+        ) == 0
         out = capsys.readouterr().out
         assert "WiDir speedup" in out
         assert "energy ratio" in out
 
     def test_figure_command(self, capsys):
         assert main(
-            ["figure", "table5", "--apps", "volrend", "--cores", "16",
-             "--memops", "150"]
+            ["figure", "render", "table5", "--apps", "volrend", "--cores",
+             "16", "--memops", "150"]
         ) == 0
         assert "Table V" in capsys.readouterr().out
 
     def test_figure_rejects_unknown_app(self, capsys):
         assert main(
-            ["figure", "fig6", "--apps", "doom", "--cores", "8", "--memops", "100"]
+            ["figure", "render", "fig6", "--apps", "doom", "--cores", "8",
+             "--memops", "100"]
         ) == 2
         assert "unknown apps" in capsys.readouterr().err
 
     def test_apps_command_lists_all_twenty(self, capsys):
-        assert main(["apps"]) == 0
+        assert main(["apps", "list"]) == 0
         out = capsys.readouterr().out
         assert out.count("splash3") == 13
         assert out.count("parsec") == 7
 
     def test_unknown_app_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
-            main(["run", "doom"])
+            main(["sim", "run", "doom"])
 
     def test_profile_command_writes_report(self, capsys, tmp_path):
         out_file = tmp_path / "prof" / "report.txt"
         assert main(
             [
-                "profile", "volrend", "--cores", "8", "--memops", "100",
-                "--top", "5", "--output", str(out_file),
+                "sim", "profile", "volrend", "--cores", "8", "--memops",
+                "100", "--top", "5", "--out", str(out_file),
             ]
         ) == 0
         out = capsys.readouterr().out
@@ -110,9 +116,9 @@ class TestCli:
     def test_profile_command_stdout_only(self, capsys):
         assert main(
             [
-                "profile", "volrend", "--protocol", "baseline", "--cores", "8",
-                "--memops", "100", "--sort", "cumulative", "--cold",
-                "--top", "5", "--output", "-",
+                "sim", "profile", "volrend", "--protocol", "baseline",
+                "--cores", "8", "--memops", "100", "--sort", "cumulative",
+                "--cold", "--top", "5", "--out", "-",
             ]
         ) == 0
         out = capsys.readouterr().out
@@ -162,6 +168,8 @@ class TestTraceCli:
         assert validate_chrome_trace_file(chrome_path) == []
 
     def test_run_command_prints_latency_percentiles(self, capsys):
-        assert main(["run", "volrend", "--cores", "8", "--memops", "150"]) == 0
+        assert main(
+            ["sim", "run", "volrend", "--cores", "8", "--memops", "150"]
+        ) == 0
         out = capsys.readouterr().out
         assert "latency p50/95/99" in out

@@ -258,6 +258,7 @@ def test_cli_verify_smoke_subset(capsys):
     code = main(
         [
             "verify",
+            "run",
             "--campaign",
             "smoke",
             "--seed",
@@ -279,6 +280,7 @@ def test_cli_verify_replay_roundtrip(tmp_path, capsys):
     code = main(
         [
             "verify",
+            "run",
             "--campaign",
             "smoke",
             "--seed",
@@ -306,8 +308,8 @@ def test_cli_verify_replay_roundtrip(tmp_path, capsys):
 def test_cli_verify_rejects_unknown_campaign_and_mutation(capsys):
     from repro.cli import main
 
-    assert main(["verify", "--campaign", "nope"]) == 2
-    assert main(["verify", "--mutate", "nope"]) == 2
+    assert main(["verify", "run", "--campaign", "nope"]) == 2
+    assert main(["verify", "run", "--mutate", "nope"]) == 2
     capsys.readouterr()
 
 
