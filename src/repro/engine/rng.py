@@ -20,7 +20,7 @@ import math
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 #: 2**-53, the float ulp used to map 53 random bits onto [0, 1).
-_INV_2_53 = 1.0 / (1 << 53)
+INV_2_53 = 1.0 / (1 << 53)
 
 
 def _mix64(z: int) -> int:
@@ -95,7 +95,7 @@ class DeterministicRng:
         self._state = state
         z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
         z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
-        return ((z ^ (z >> 31)) >> 11) * _INV_2_53
+        return ((z ^ (z >> 31)) >> 11) * INV_2_53
 
     def choice(self, seq):
         """Return a uniformly chosen element of a non-empty sequence."""
@@ -122,44 +122,62 @@ class DeterministicRng:
         # Inverse CDF of geometric distribution on {1, 2, ...}.
         return max(1, int(math.ceil(math.log(1.0 - u) / math.log(1.0 - p))))
 
-    def buffered(self, block: int = 1024) -> "DeterministicRng":
-        """Return a block-refilled stream continuing from this state.
-
-        SplitMix64's state advances by a constant per draw, so draw ``i``
-        from state ``s`` is the pure function ``mix64(s + (i+1)*gamma)`` —
-        which makes precomputing a whole block of future outputs with
-        numpy bit-for-bit identical to drawing them one at a time. The
-        returned stream produces *exactly* the sequence this stream would
-        have produced, just amortizing the mix arithmetic over vectorized
-        refills. Falls back to this (scalar) stream when numpy is absent.
-        """
-        try:
-            return _BufferedRng(self._state, block)
-        except ImportError:  # no numpy: scalar stream is already correct
-            return self
+    def draw_buffer(self) -> "DrawBuffer":
+        """Return a :class:`DrawBuffer` continuing this stream's draws."""
+        return DrawBuffer(self._state)
 
 
-class _BufferedRng(DeterministicRng):
-    """A :class:`DeterministicRng` whose raw outputs come from vectorized
-    block refills (see :meth:`DeterministicRng.buffered`). ``_state`` sits
-    at the *end* of the refilled block; :meth:`split` backs out the
-    unconsumed draws so child streams match the scalar stream exactly."""
+def below(p: float) -> int:
+    """The raw-draw cut ``c`` with ``next_u64() < c`` exactly when ``random() < p``.
 
-    __slots__ = ("_block", "_buf", "_pos", "_have")
+    :meth:`DeterministicRng.random` is ``(u >> 11) * 2**-53``, an exact
+    scaling of an integer, so for ``k = u >> 11`` the test ``k * 2**-53 < p``
+    is ``k < p * 2**53`` (also exact), i.e. ``k < ceil(p * 2**53)``, i.e.
+    ``u < ceil(p * 2**53) << 11``. A loop comparing raw draws against cuts
+    makes the same decisions as one comparing ``random()`` floats, without
+    building a float per draw.
+    """
+    return math.ceil(p * (1 << 53)) << 11
 
-    def __init__(self, state: int, block: int) -> None:
-        import numpy  # noqa: F401 - probe for availability at build time
 
+#: Draws a :class:`DrawBuffer` precomputes per refill.
+_DRAW_BLOCK = 4096
+
+
+class DrawBuffer:
+    """A stream's future draws, precomputed for a hot loop to index directly.
+
+    SplitMix64's state advances by a constant per draw, so draw ``i`` from
+    state ``s`` is the pure function ``mix64(s + (i+1)*gamma)``: numpy
+    computes a whole block of them at once, bit-for-bit the values
+    :meth:`DeterministicRng.next_u64` would return one at a time.
+
+    ``u[i]`` is the stream's ``i``-th raw draw and ``pos`` the next unread
+    index. A loop that reads ``u`` itself first calls :meth:`reserve`,
+    advances ``pos`` by what it read, and stores it back; it tests a draw
+    against a probability through :func:`below`. The list only ever grows
+    in place, so local references stay valid across refills.
+    :meth:`random` and :meth:`randint` read the same stream one draw at a
+    time, refilling as needed, so code written for a
+    :class:`DeterministicRng` runs unchanged on a buffer.
+    """
+
+    __slots__ = ("u", "pos", "_state")
+
+    def __init__(self, state: int) -> None:
         self._state = state  # adopted, NOT re-mixed: we continue the stream
-        self._block = block
-        self._buf: list = []
-        self._pos = 0
-        self._have = 0
+        self.u: list = []
+        self.pos = 0
 
-    def _refill(self) -> None:
+    def reserve(self, count: int) -> None:
+        """Make at least ``count`` draws available from ``pos`` on."""
+        missing = self.pos + count - len(self.u)
+        if missing > 0:
+            self._refill(max(missing, _DRAW_BLOCK))
+
+    def _refill(self, n: int) -> None:
         import numpy as np
 
-        n = self._block
         steps = np.arange(1, n + 1, dtype=np.uint64)
         z = np.uint64(self._state) + np.uint64(_GOLDEN_GAMMA) * steps
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
@@ -167,28 +185,21 @@ class _BufferedRng(DeterministicRng):
         z ^= z >> np.uint64(31)
         # Plain Python ints on the way out: downstream address arithmetic
         # must not silently become numpy scalar arithmetic.
-        self._buf = z.tolist()
-        self._pos = 0
-        self._have = n
+        self.u.extend(z.tolist())
         self._state = (self._state + n * _GOLDEN_GAMMA) & _MASK64
 
-    def next_u64(self) -> int:
-        pos = self._pos
-        if pos >= self._have:
-            self._refill()
-            pos = 0
-        self._pos = pos + 1
-        return self._buf[pos]
-
     def random(self) -> float:
-        pos = self._pos
-        if pos >= self._have:
-            self._refill()
-            pos = 0
-        self._pos = pos + 1
-        return (self._buf[pos] >> 11) * _INV_2_53
+        pos = self.pos
+        if pos >= len(self.u):
+            self._refill(_DRAW_BLOCK)
+        self.pos = pos + 1
+        return (self.u[pos] >> 11) * INV_2_53
 
-    def split(self, label: str) -> DeterministicRng:
-        pending = self._have - self._pos
-        state = (self._state - pending * _GOLDEN_GAMMA) & _MASK64
-        return DeterministicRng(_mix64(state ^ _hash_label(label)))
+    def randint(self, low: int, high: int) -> int:
+        if high < low:
+            raise ValueError(f"empty range [{low}, {high}]")
+        pos = self.pos
+        if pos >= len(self.u):
+            self._refill(_DRAW_BLOCK)
+        self.pos = pos + 1
+        return low + self.u[pos] % (high - low + 1)

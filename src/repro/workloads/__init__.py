@@ -9,9 +9,11 @@ The coherence protocol under study only ever sees the reference stream, so
 this preserves exactly the behaviour the evaluation depends on.
 
 Layout: :mod:`~repro.workloads.layout` fixes the address-space geometry,
-:mod:`~repro.workloads.patterns` provides reusable access-pattern emitters,
-:mod:`~repro.workloads.profiles` declares the 20 application profiles, and
-:mod:`~repro.workloads.generator` synthesizes per-core traces from a profile.
+:mod:`~repro.workloads.profiles` declares the 20 application profiles,
+:mod:`~repro.workloads.generator` synthesizes per-core traces from a profile
+straight into :class:`~repro.cpu.trace.TraceChunk` columns, and
+:mod:`~repro.workloads.patterns` holds its column-writing emitters for the
+migratory, lock and barrier patterns.
 """
 
 from repro.workloads.generator import build_traces

@@ -14,35 +14,26 @@ think gaps between references realize the profile's memory intensity.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from typing import List, Tuple
 
-from repro.cpu.trace import OP_LOAD, TraceChunk, TraceOp
-from repro.engine.rng import DeterministicRng
-from repro.workloads.layout import AddressLayout
+from repro.cpu.trace import OP_LOAD, OP_STORE, OP_THINK, TraceChunk
+from repro.engine.rng import INV_2_53, DeterministicRng, DrawBuffer, below
+from repro.workloads.layout import LINE, SHARED_BASE, WORD, AddressLayout
 from repro.workloads.patterns import (
     emit_barrier_episode,
-    emit_hot_access,
     emit_lock_section,
     emit_migratory_access,
-    emit_shared_access,
-    emit_streaming_access,
-    emit_think,
 )
 from repro.workloads.profiles import AppProfile
 
-
-def _pick_group_size(profile: AppProfile, rng: DeterministicRng) -> int:
-    weights = profile.sharing_weights()
-    if not weights:
-        return 8
-    roll = rng.random()
-    cumulative = 0.0
-    for size, weight in weights.items():
-        cumulative += weight
-        if roll < cumulative:
-            return size
-    return next(reversed(weights))
+#: Most draws one memory-reference slot makes outside the emitters: think
+#: gap, class roll, then a shared visit's migratory roll, group roll, word,
+#: write roll and store value.
+_SLOT_DRAWS = 7
+#: ``randint(0, 1 << 30)`` as a modulus: the span of a stored value.
+_VALUE_SPAN = (1 << 30) + 1
 
 
 def build_core_trace(
@@ -54,106 +45,216 @@ def build_core_trace(
 ) -> TraceChunk:
     """Synthesize one core's trace with ``memops`` memory-reference slots.
 
-    Returns a struct-of-arrays :class:`~repro.cpu.trace.TraceChunk` (the
-    batched front end's native format; iterating it yields the same
-    :class:`TraceOp` stream lists used to hold). The RNG is the buffered
-    (vectorized-refill) stream, which produces bit-for-bit the draws of
-    the scalar stream — traces are unchanged from the list-based builder.
+    Returns a struct-of-arrays :class:`~repro.cpu.trace.TraceChunk`, written
+    column by column: the common records (think gaps, hot, streaming and
+    shared accesses) are appended inline, reading their draws straight from
+    a :class:`~repro.engine.rng.DrawBuffer`; locks, barriers and migratory
+    accesses go through the column-writing emitters in
+    :mod:`~repro.workloads.patterns`. Each record takes its draws in a fixed
+    order (a hot store: write roll, word, value), and every probability
+    test compares the raw draw against its :func:`~repro.engine.rng.below`
+    cut, which decides exactly as ``random() < p`` does; so the trace is a
+    fixed function of the profile, core, machine size, length and seed
+    (``tests/test_trace_golden.py`` pins it column by column).
     """
-    rng = DeterministicRng(seed).split(f"{profile.name}-core{core}").buffered()
+    draws = DeterministicRng(seed).split(f"{profile.name}-core{core}").draw_buffer()
     layout = AddressLayout(num_cores)
-    ops: List[TraceOp] = []
+    chunk = TraceChunk()
+    kinds_append = chunk.kinds.append
+    addresses_append = chunk.addresses.append
+    values_append = chunk.values.append
+    args_append = chunk.args.append
+    blocking_append = chunk.blocking.append
+
+    # Think gaps: the inverse CDF of DeterministicRng.geometric with its
+    # log(1 - p) hoisted; a mean of one instruction draws nothing.
     think_mean = max(1, round((1.0 - profile.mem_ratio) / max(profile.mem_ratio, 1e-6)))
+    think_log = math.log(1.0 - 1.0 / float(think_mean)) if think_mean > 1 else 0.0
+    log = math.log
+    ceil = math.ceil
+
     phases = max(1, profile.phases)
     per_phase = max(1, memops // phases)
-    cold_cursor = [core * 17]  # de-correlate the streaming walks across cores
-    since_lock = rng.randint(0, profile.lock_interval) if profile.lock_interval else 0
+    cursor = core * 17  # de-correlate the streaming walks across cores
+    since_lock = draws.randint(0, profile.lock_interval) if profile.lock_interval else 0
     # A shared visit emits `burst` references, so the per-visit roll must be
     # deflated for `shared_fraction` to hold as a fraction of *references*:
     # p = f / (b*(1-f) + f).
-    f = profile.shared_fraction
-    b = max(1, profile.shared_burst)
-    shared_roll = f / (b * (1.0 - f) + f) if f > 0 else 0.0
+    f_shared = profile.shared_fraction
+    burst = max(1, profile.shared_burst)
+    shared_roll = f_shared / (burst * (1.0 - f_shared) + f_shared) if f_shared > 0 else 0.0
+    shared_cut = below(shared_roll)
+    cold_cut = below(shared_roll + profile.cold_fraction)
+    migratory = profile.migratory_fraction > 0.0
+    migratory_cut = below(profile.migratory_fraction)
+    shared_words = profile.shared_words
+    shared_span = max(0, shared_words - 1) + 1
+    write_cut = below(profile.write_fraction)
+    hot_base = layout.private_hot(core, 0)
+    hot_span = max(0, profile.hot_words - 1) + 1
+    cold_base = layout.private_cold(core, 0)
+    cold_lines = profile.cold_region_lines
+    lock_interval = profile.lock_interval
+    lock_top = max(0, profile.locks - 1)
 
+    # One (cumulative-weight cut, word-0 address, write cut) site per sharing
+    # group size, in profile order; the group roll picks the first site
+    # whose cumulative weight exceeds it, else the last. Per-sharer write
+    # intensity scales inversely with the group size: a variable shared
+    # machine-wide is written proportionally less often by each sharer (or
+    # it would not stay shared). ``shared_write_fraction`` is the group-of-8
+    # value; wider groups write less, narrower ones more.
+    def shared_site(upto: float, group_size: int) -> Tuple[int, int, int]:
+        size = min(group_size, num_cores)
+        base = layout.shared_word(size, layout.group_of(core, size), 0)
+        return below(upto), base, below(min(0.5, profile.shared_write_fraction * 8.0 / size))
+
+    sites = []
+    upto = 0.0
+    for size, weight in profile.sharing_weights().items():
+        upto += weight
+        sites.append(shared_site(upto, size))
+    only_site = None if sites else shared_site(0.0, 8)
+
+    # `u` only ever grows, so `limit` (the last slot start with _SLOT_DRAWS
+    # draws ready) stays safe while the emitters refill behind our back.
+    u = draws.u
+    pos = draws.pos
+    limit = -1
     for phase in range(phases):
         emitted = 0
         while emitted < per_phase:
             emitted += 1
-            emit_think(ops, rng, think_mean)
-            roll = rng.random()
-            if roll < shared_roll:
-                if (
-                    profile.migratory_fraction > 0.0
-                    and rng.random() < profile.migratory_fraction
-                ):
-                    emit_migratory_access(
-                        ops, rng, layout, core, cold_cursor[0], profile.shared_words
-                    )
+            if pos > limit:
+                draws.pos = pos
+                draws.reserve(_SLOT_DRAWS)
+                limit = len(u) - _SLOT_DRAWS
+            if think_mean > 1:
+                # The quotient is >= 0, so `or 1` is max(1, ...).
+                gap = ceil(log(1.0 - (u[pos] >> 11) * INV_2_53) / think_log) or 1
+                pos += 1
+            else:
+                gap = 1
+            kinds_append(OP_THINK)
+            addresses_append(0)
+            values_append(0)
+            args_append(gap)
+            blocking_append(True)
+            roll = u[pos]
+            pos += 1
+            if roll < shared_cut:
+                if migratory and u[pos] < migratory_cut:
+                    draws.pos = pos + 1
+                    emit_migratory_access(chunk, draws, layout, cursor, shared_words)
+                    pos = draws.pos
                     emitted += 1  # migratory visits emit two references
                 else:
-                    emitted += emit_shared_access(
-                        ops,
-                        rng,
-                        layout,
-                        core,
-                        _pick_group_size(profile, rng),
-                        profile.shared_words,
-                        profile.shared_write_fraction,
-                        profile.shared_burst,
-                    ) - 1
-            elif roll < shared_roll + profile.cold_fraction:
-                emit_streaming_access(
-                    ops, layout, core, cold_cursor, profile.cold_region_lines
-                )
+                    if migratory:
+                        pos += 1
+                    if sites:
+                        group_roll = u[pos]
+                        pos += 1
+                        for group_cut, base, site_write_cut in sites:
+                            if group_roll < group_cut:
+                                break  # else: the loop leaves the last site bound
+                    else:
+                        group_cut, base, site_write_cut = only_site
+                    # `burst` reads of one word, the last one a write when
+                    # the write roll says so: at most one write per visit.
+                    address = base + (u[pos] % shared_span) * WORD
+                    write = u[pos + 1] < site_write_cut
+                    pos += 2
+                    for _ in range(burst - 1 if write else burst):
+                        kinds_append(OP_LOAD)
+                        addresses_append(address)
+                        values_append(0)
+                        args_append(0)
+                        blocking_append(True)
+                    if write:
+                        kinds_append(OP_STORE)
+                        addresses_append(address)
+                        values_append(u[pos] % _VALUE_SPAN)
+                        args_append(0)
+                        blocking_append(True)
+                        pos += 1
+                    emitted += burst - 1
+            elif roll < cold_cut:
+                # One line per access over a region far larger than the L1:
+                # capacity misses, prefetch-friendly, so non-blocking.
+                kinds_append(OP_LOAD)
+                addresses_append(cold_base + (cursor % cold_lines) * LINE)
+                values_append(0)
+                args_append(0)
+                blocking_append(False)
+                cursor += 1
             else:
-                emit_hot_access(
-                    ops,
-                    rng,
-                    layout,
-                    core,
-                    profile.hot_words,
-                    write=rng.random() < profile.write_fraction,
-                )
-            if profile.lock_interval:
+                # The core's private hot set (expected L1 hits).
+                if u[pos] < write_cut:
+                    kinds_append(OP_STORE)
+                    addresses_append(hot_base + (u[pos + 1] % hot_span) * WORD)
+                    values_append(u[pos + 2] % _VALUE_SPAN)
+                    pos += 3
+                else:
+                    kinds_append(OP_LOAD)
+                    addresses_append(hot_base + (u[pos + 1] % hot_span) * WORD)
+                    values_append(0)
+                    pos += 2
+                args_append(0)
+                blocking_append(True)
+            if lock_interval:
                 since_lock += 1
-                if since_lock >= profile.lock_interval:
+                if since_lock >= lock_interval:
                     since_lock = 0
+                    draws.pos = pos
                     emit_lock_section(
-                        ops,
-                        rng,
+                        chunk,
+                        draws,
                         layout,
-                        rng.randint(0, max(0, profile.locks - 1)),
+                        draws.randint(0, lock_top),
                         profile.lock_spin_reads,
                         profile.lock_critical_ops,
                     )
-        emit_barrier_episode(ops, layout, phase, profile.barrier_spin_reads)
+                    pos = draws.pos
+        emit_barrier_episode(chunk, layout, phase, profile.barrier_spin_reads)
 
-    chunk = TraceChunk.from_ops(ops)
-    _apply_blocking_fractions(chunk, rng, profile.load_block_fraction)
+    draws.pos = pos
+    _apply_blocking_fractions(chunk, draws, profile.load_block_fraction)
+    # Appending leaves each column up to an eighth over-allocated; traces
+    # are memoized and read for whole runs, so keep exact-size copies.
+    chunk.kinds = chunk.kinds[:]
+    chunk.addresses = chunk.addresses[:]
+    chunk.values = chunk.values[:]
+    chunk.args = chunk.args[:]
+    chunk.blocking = chunk.blocking[:]
     return chunk
 
 
 def _apply_blocking_fractions(
-    chunk: TraceChunk, rng: DeterministicRng, block_fraction: float
+    chunk: TraceChunk, draws: DrawBuffer, block_fraction: float
 ) -> None:
     """Mark the profile's fraction of *private* loads as use-dependent.
 
     Shared-data, lock, and barrier loads stay blocking unconditionally:
     reads of shared structures feed immediate uses (pointer dereferences,
     flag tests), which is precisely why the paper's coherence misses sit on
-    the critical path. Operates on the chunk columns in place; the rng
-    draws occur in trace order, one per eligible private load — the exact
-    sequence the per-op loop drew.
+    the critical path. Operates on the chunk columns in place, after the
+    whole trace is synthesized: one draw per eligible private load, in
+    trace order.
     """
-    from repro.workloads.layout import SHARED_BASE
-
     kinds = chunk.kinds
     addresses = chunk.addresses
     blocking = chunk.blocking
-    rng_random = rng.random
-    for i, kind in enumerate(kinds):
-        if kind == OP_LOAD and blocking[i] and addresses[i] < SHARED_BASE:
-            blocking[i] = rng_random() < block_fraction
+    eligible = [
+        i
+        for i, kind in enumerate(kinds)
+        if kind == OP_LOAD and blocking[i] and addresses[i] < SHARED_BASE
+    ]
+    draws.reserve(len(eligible))
+    pos = draws.pos
+    cut = below(block_fraction)
+    for i, roll in zip(eligible, draws.u[pos : pos + len(eligible)]):
+        blocking[i] = roll < cut
+    draws.pos = pos + len(eligible)
 
 
 def iter_core_trace_chunks(
@@ -185,10 +286,12 @@ def iter_core_trace_chunks(
 
 #: Memoized machine traces. ``build_traces`` is pure and the harness calls
 #: it twice per experiment point (once for Baseline, once for WiDir) with
-#: identical arguments — synthesis was ~a quarter of end-to-end wall time in
-#: the seed. :class:`~repro.workloads.profiles.AppProfile` is a frozen
-#: dataclass, so the argument tuple is hashable; exotic unhashable profiles
-#: (tests constructing ad-hoc objects) skip the cache.
+#: identical arguments, so the second machine reuses the first's traces.
+#: The cap bounds the memo's share of peak memory: raising it to cover a
+#: whole figure suite's distinct traces costs more memory than the repeat
+#: syntheses it saves cost time. :class:`~repro.workloads.profiles.AppProfile`
+#: is a frozen dataclass, so the argument tuple is hashable; exotic
+#: unhashable profiles (tests constructing ad-hoc objects) skip the cache.
 _TRACE_CACHE: "OrderedDict[Tuple, List[TraceChunk]]" = OrderedDict()
 _TRACE_CACHE_CAP = 8
 

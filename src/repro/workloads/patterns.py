@@ -1,13 +1,11 @@
-"""Reusable access-pattern emitters.
+"""Column-writing emitters for the synchronization and migratory patterns.
 
-Each emitter appends :class:`~repro.cpu.trace.TraceOp` items to a list,
-modelling one archetypal sharing behaviour from the coherence literature:
+:func:`~repro.workloads.generator.build_core_trace` writes the common
+records (think gaps, private hot-set and streaming accesses, shared-group
+visits) inline. The rarer multi-record patterns live here, each appending
+to a :class:`~repro.cpu.trace.TraceChunk`'s columns and modelling one
+archetypal behaviour from the coherence literature:
 
-* **hot-set** — repeated references to a small private working set (hits);
-* **streaming** — a sequential walk over a region far larger than the L1
-  (pure capacity misses, read-mostly);
-* **group read/write sharing** — the pattern the paper targets: a group of
-  cores frequently reading and occasionally writing the same lines;
 * **migratory** — one core at a time read-modify-writes a datum, then the
   next core takes over;
 * **lock section** — test-and-test-and-set acquire (spin loads + RMW),
@@ -15,107 +13,27 @@ modelling one archetypal sharing behaviour from the coherence literature:
 * **barrier episode** — an RMW on the barrier counter, spin loads on it,
   and the cross-core alignment op.
 
-The emitters take a :class:`~repro.engine.rng.DeterministicRng` so a trace
-is a pure function of (profile, config, seed).
+The emitters draw through ``random``/``randint`` on either a
+:class:`~repro.engine.rng.DeterministicRng` or the generator's
+:class:`~repro.engine.rng.DrawBuffer`, so a trace is a pure function of
+(profile, config, seed).
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Union
 
-from repro.cpu import trace as t
-from repro.engine.rng import DeterministicRng
+from repro.cpu.trace import TraceChunk
+from repro.engine.rng import DeterministicRng, DrawBuffer
 from repro.workloads.layout import AddressLayout
 
-
-def emit_think(ops: List[t.TraceOp], rng: DeterministicRng, mean_instructions: int) -> None:
-    """A burst of non-memory instructions between references."""
-    if mean_instructions <= 0:
-        return
-    ops.append(t.think(rng.geometric(float(mean_instructions))))
-
-
-def emit_hot_access(
-    ops: List[t.TraceOp],
-    rng: DeterministicRng,
-    layout: AddressLayout,
-    core: int,
-    hot_words: int,
-    write: bool,
-) -> None:
-    """One reference into the core's private hot set (expected L1 hit)."""
-    address = layout.private_hot(core, rng.randint(0, max(0, hot_words - 1)))
-    if write:
-        ops.append(t.store(address, rng.randint(0, 1 << 30)))
-    else:
-        ops.append(t.load(address))
-
-
-def emit_streaming_access(
-    ops: List[t.TraceOp],
-    layout: AddressLayout,
-    core: int,
-    cursor: List[int],
-    region_lines: int,
-    write: bool = False,
-) -> None:
-    """One reference of a sequential walk (expected L1 capacity miss).
-
-    ``cursor`` is a single-element list carrying the walk position across
-    calls; stepping a full line each time defeats spatial reuse, which is
-    what makes every reference a miss once the region exceeds the L1.
-    """
-    address = layout.private_cold(core, cursor[0] % region_lines)
-    cursor[0] += 1
-    if write:
-        ops.append(t.store(address, cursor[0]))
-    else:
-        # Streaming loads are prefetch-friendly: model as non-blocking.
-        ops.append(t.load(address, blocking=False))
-
-
-def emit_shared_access(
-    ops: List[t.TraceOp],
-    rng: DeterministicRng,
-    layout: AddressLayout,
-    core: int,
-    group_size: int,
-    shared_words: int,
-    write_fraction: float,
-    burst: int = 1,
-) -> int:
-    """A visit to data shared by this core's group (the WiDir pattern).
-
-    Emits ``burst`` consecutive references to the same shared word — mostly
-    reads, with at most one write per visit — modelling the read-dominant
-    reuse between remote writes that shared data exhibits in practice.
-    Returns the number of references emitted.
-    """
-    size = min(group_size, layout.num_cores)
-    group_id = layout.group_of(core, size)
-    address = layout.shared_word(
-        size, group_id, rng.randint(0, max(0, shared_words - 1))
-    )
-    count = max(1, burst)
-    # Per-sharer write intensity scales inversely with the group size: a
-    # variable shared machine-wide is written proportionally less often by
-    # each sharer (or it would not stay shared). ``write_fraction`` is the
-    # group-of-8 value; wider groups write less, narrower ones more.
-    effective_write = min(0.5, write_fraction * 8.0 / size)
-    write_at = count - 1 if rng.random() < effective_write else -1
-    for i in range(count):
-        if i == write_at:
-            ops.append(t.store(address, rng.randint(0, 1 << 30)))
-        else:
-            ops.append(t.load(address))
-    return count
+Draws = Union[DeterministicRng, DrawBuffer]
 
 
 def emit_migratory_access(
-    ops: List[t.TraceOp],
-    rng: DeterministicRng,
+    chunk: TraceChunk,
+    rng: Draws,
     layout: AddressLayout,
-    core: int,
     token: int,
     shared_words: int,
 ) -> None:
@@ -123,13 +41,13 @@ def emit_migratory_access(
     # Migratory data is modelled as pairwise-shared lines indexed by a
     # token that advances with program progress, so ownership migrates.
     address = layout.shared_word(2, token % 8, rng.randint(0, max(0, shared_words - 1)))
-    ops.append(t.load(address))
-    ops.append(t.store(address, token))
+    chunk.append_load(address)
+    chunk.append_store(address, token)
 
 
 def emit_lock_section(
-    ops: List[t.TraceOp],
-    rng: DeterministicRng,
+    chunk: TraceChunk,
+    rng: Draws,
     layout: AddressLayout,
     lock_id: int,
     spin_reads: int,
@@ -142,28 +60,28 @@ def emit_lock_section(
     """
     lock_address = layout.lock(lock_id)
     for _ in range(spin_reads):
-        ops.append(t.load(lock_address))
-    ops.append(t.rmw(lock_address))
+        chunk.append_load(lock_address)
+    chunk.append_rmw(lock_address)
     # Critical section: touch the data the lock guards (its own line, so
     # these stores do not collide with other cores' lock acquisitions).
     for i in range(critical_ops):
         address = layout.lock_data(lock_id, i)
         if rng.random() < 0.5:
-            ops.append(t.load(address))
+            chunk.append_load(address)
         else:
-            ops.append(t.store(address, rng.randint(0, 1 << 20)))
-    ops.append(t.store(lock_address, 0))  # release
+            chunk.append_store(address, rng.randint(0, 1 << 20))
+    chunk.append_store(lock_address, 0)  # release
 
 
 def emit_barrier_episode(
-    ops: List[t.TraceOp],
+    chunk: TraceChunk,
     layout: AddressLayout,
     phase: int,
     spin_reads: int,
 ) -> None:
     """Arrive at a barrier: bump the counter, spin on it, then align."""
     barrier_address = layout.barrier_word(phase)
-    ops.append(t.rmw(barrier_address))
+    chunk.append_rmw(barrier_address)
     for _ in range(spin_reads):
-        ops.append(t.load(barrier_address))
-    ops.append(t.barrier(phase))
+        chunk.append_load(barrier_address)
+    chunk.append_barrier(phase)
