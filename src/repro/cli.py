@@ -1024,7 +1024,7 @@ def _cmd_sim_profile(args: argparse.Namespace) -> int:
     stats = pstats.Stats(profiler, stream=stream)
     stats.sort_stats(args.sort).print_stats(args.top)
     header = (
-        f"# repro profile: {args.app} on {args.protocol} @ {args.cores} cores\n"
+        f"# repro sim profile: {args.app} on {args.protocol} @ {args.cores} cores\n"
         f"# memops/core={args.memops} seed={args.seed} "
         f"trace_seed={args.trace_seed} "
         f"{'cold' if args.cold else 'warm'} sort={args.sort}\n"

@@ -96,6 +96,9 @@ class CacheController:
         self.wireless = wireless
         self.tone = tone
         self.array = CacheArray(config.l1.num_sets, config.l1.associativity)
+        # The probes index the array's sets directly (see ``load_probe``).
+        self._sets = self.array._sets
+        self._set_mask = self.array._mask
         self.mshrs = MshrFile(config.core.max_outstanding_misses)
         self._rng = rng
         self._hit_latency = config.l1.round_trip_cycles
@@ -155,46 +158,38 @@ class CacheController:
     # ------------------------------------------------------------ CPU API
 
     def load(self, address: int, on_done: Callable[[int], None]) -> None:
-        """Read a word; ``on_done(value)`` fires when the data is available.
+        """Read a word; ``on_done(value)`` fires when the data is available."""
+        self._loads_counter.value += 1
+        self._accesses_counter.value += 1
+        self._do_load(address, on_done)
 
-        The L1-hit fast path is inlined here (identical to the head of
-        :meth:`_do_load`, which remains the retry target for misses): loads
-        dominate the op mix and the extra call frame per hit was visible in
-        end-to-end profiles.
+    def load_probe(self, address: int) -> bool:
+        """Counter-bumping L1 read-hit probe for the core's load fast path.
+
+        Applies exactly the side effects of :meth:`load` up to its hit test
+        (access counters, LRU touch of a resident line, W-state update-count
+        reset on a hit) and returns whether the load hit — *without*
+        scheduling the completion: the core schedules its own wake-up at
+        the L1 round trip and never uses the loaded word. The set lookup
+        and LRU touch are :meth:`CacheArray.lookup` inlined (one probe per
+        access is the hottest path of a run). On False the caller follows
+        with :meth:`load_miss` (the counters are already bumped).
         """
         self._loads_counter.value += 1
         self._accesses_counter.value += 1
         line = address >> self._line_shift
-        entry = self.array.lookup(line)
-        if entry is not None and entry.state in self._readable:
-            if entry.state == WIRELESS:
+        cache_set = self._sets[line & self._set_mask]
+        entry = cache_set.get(line)
+        if entry is None:
+            return False
+        del cache_set[line]
+        cache_set[line] = entry
+        state = entry.state
+        if state in self._readable:
+            if state == WIRELESS:
                 entry.update_count = 0
-            word = (address & self._offset_mask) >> self._word_shift
-            value = entry.data.get(word, 0)
-            self.sim.schedule(self._hit_latency, lambda: on_done(value))
-            return
-        self._miss(line, False, False, lambda: self._do_load(address, on_done))
-
-    def load_probe(self, address: int) -> Optional[int]:
-        """Counter-bumping L1 read-hit probe for the core's load fast path.
-
-        On an L1 read hit, applies exactly the hit side effects of
-        :meth:`load` (access counters, LRU touch, W-state update-count
-        reset) and returns the word — *without* scheduling the completion.
-        The core schedules its own wake-up at the L1 round trip, saving a
-        closure and a completion cell per hit. Returns None on a miss, in
-        which case the caller must follow with :meth:`load_miss` (the
-        counters are already bumped).
-        """
-        self._loads_counter.value += 1
-        self._accesses_counter.value += 1
-        entry = self.array.lookup(address >> self._line_shift)
-        if entry is not None and entry.state in self._readable:
-            if entry.state == WIRELESS:
-                entry.update_count = 0
-            word = (address & self._offset_mask) >> self._word_shift
-            return entry.data.get(word, 0)
-        return None
+            return True
+        return False
 
     def load_miss(self, address: int, on_done: Callable[[int], None]) -> None:
         """Miss leg of the :meth:`load_probe` pair (counters already bumped)."""
@@ -213,13 +208,20 @@ class CacheController:
         On an M/E hit the store is performed immediately (state to M, dirty
         set, word written — exactly what the head of :meth:`_do_store`
         does) and True is returned; the core schedules its own completion
-        at the L1 round trip. Returns False on any other state, in which
-        case the caller must follow with :meth:`store_miss`.
+        at the L1 round trip. The lookup is inlined as in
+        :meth:`load_probe`. Returns False on any other state, in which case
+        the caller must follow with :meth:`store_miss`.
         """
         self._stores_counter.value += 1
         self._accesses_counter.value += 1
-        entry = self.array.lookup(address >> self._line_shift)
-        if entry is not None and entry.state in self._writable:
+        line = address >> self._line_shift
+        cache_set = self._sets[line & self._set_mask]
+        entry = cache_set.get(line)
+        if entry is None:
+            return False
+        del cache_set[line]
+        cache_set[line] = entry
+        if entry.state in self._writable:
             entry.state = MODIFIED
             entry.dirty = True
             entry.data[(address & self._offset_mask) >> self._word_shift] = value

@@ -107,9 +107,9 @@ class Core:
         self._wakeup: Optional[Callable[[], bool]] = None
         self._on_finish: Optional[Callable[["Core"], None]] = None
         self._finished = False
-        # Counter objects bumped via direct ``.value +=``:
-        # ``_count_instructions`` runs once per trace op and even the bound
-        # ``Counter.add`` call was visible in profiles.
+        # Counter objects bumped via direct ``.value +=`` in ``_step``: it
+        # runs once per trace op and even a bound ``Counter.add`` call was
+        # visible in profiles.
         self._instr = stats.counter(f"core.{node}.instructions")
         self._instr_total = stats.counter("core.total.instructions")
         # More hot-path bindings: one attribute hop instead of two or three
@@ -118,9 +118,13 @@ class Core:
         self._load_record = self.result.load_latency.record
         self._store_record = self.result.store_latency.record
         self._hist_record = self.result.latency_hist.record
-        #: L1 hit round trip — the constant latency of the probe fast
-        #: paths in ``_issue_load`` / ``_issue_store``.
+        #: L1 hit round trip — the constant latency of every probe hit.
         self._hit_latency = config.l1.round_trip_cycles
+        #: L1 hits since the last :meth:`flush_stats`. A hit's latency is
+        #: always ``_hit_latency``, so counting hits and folding them into
+        #: the latency stats once is exact and saves two records per hit.
+        self._load_hits = 0
+        self._store_hits = 0
         # Probe/miss entry points, bound once. Cache stand-ins (unit-test
         # mocks, litmus harness stubs) that predate the probe API fall back
         # to the general closure path: the probe reports a guaranteed miss
@@ -131,7 +135,7 @@ class Core:
             self._store_probe = cache.store_probe
             self._store_miss = cache.store_miss
         else:
-            self._load_probe = lambda address: None
+            self._load_probe = lambda address: False
             self._load_miss = cache.load
             self._store_probe = lambda address, value: False
             self._store_miss = cache.store
@@ -188,6 +192,12 @@ class Core:
         every core, and both the repeated attribute walks and the per-op
         ``TraceOp`` indexing dominated its profile. Kind strings are
         interned constants, so each ``==`` below is a pointer compare.
+
+        Loads and stores are issued inline with exactly one L1 probe each.
+        A hit's latency is the constant L1 round trip, so the wake-up is
+        scheduled directly, in the same ``(time, seq)`` slot the miss
+        path's completion would take, and the hit is only counted (see
+        :meth:`flush_stats`). A miss goes straight to the cache's miss leg.
         """
         kinds = self._kinds
         addresses = self._addresses
@@ -196,7 +206,30 @@ class Core:
             while self._pc < trace_len:
                 pc = self._pc
                 kind = kinds[pc]
-                if kind == OP_THINK:
+                if kind == OP_LOAD:
+                    if self._outstanding_loads >= self._max_loads:
+                        self._block(
+                            "memory", lambda: self._outstanding_loads < self._max_loads
+                        )
+                        return
+                    self._pc = pc + 1
+                    self.result.instructions += 1
+                    self._instr.value += 1
+                    self._instr_total.value += 1
+                    if self._load_probe(addresses[pc]):
+                        self._load_hits += 1
+                        if self._blocking[pc]:
+                            # The miss path blocks with ``grace == hit
+                            # latency`` and so charges a hit zero stall;
+                            # skipping the block/wake bookkeeping is
+                            # equivalent.
+                            self._schedule(self._hit_latency, self._step)
+                            return
+                        self._outstanding_loads += 1
+                        self._schedule(self._hit_latency, self._nb_hit_done)
+                    elif not self._load_missed(addresses[pc], self._blocking[pc]):
+                        return
+                elif kind == OP_THINK:
                     self._pc = pc + 1
                     arg = self._args[pc]
                     self.result.instructions += arg
@@ -205,22 +238,28 @@ class Core:
                     cycles = max(1, -(-arg // self._issue_width))
                     self._schedule(cycles, self._step)
                     return
-                if kind == OP_LOAD:
-                    if not self._issue_load(addresses[pc], self._blocking[pc]):
+                elif kind == OP_STORE:
+                    if self._wb_occupancy >= self._wb_capacity:
+                        self._block(
+                            "memory", lambda: self._wb_occupancy < self._wb_capacity
+                        )
                         return
-                    continue
-                if kind == OP_STORE:
-                    if not self._issue_store(addresses[pc], self._values[pc]):
-                        return
-                    continue
-                if kind == OP_RMW:
+                    self._pc = pc + 1
+                    self.result.instructions += 1
+                    self._instr.value += 1
+                    self._instr_total.value += 1
+                    self._wb_occupancy += 1
+                    if self._store_probe(addresses[pc], self._values[pc]):
+                        self._store_hits += 1
+                        self._schedule(self._hit_latency, self._st_hit_done)
+                    else:
+                        self._store_missed(addresses[pc], self._values[pc])
+                elif kind == OP_RMW:
                     if not self._issue_rmw(addresses[pc]):
                         return
-                    continue
-                if kind == OP_BARRIER:
+                elif kind == OP_BARRIER:
                     if not self._issue_barrier(self._args[pc]):
                         return
-                    continue
             # Chunk drained: synchronously pull the next one if streaming.
             # Rebinding inside the wake-up keeps the event stream identical
             # to a monolithic trace — no time passes, nothing is scheduled.
@@ -245,13 +284,26 @@ class Core:
             return
         self._finished = True
         self.result.finish_cycle = self.sim.now
+        self.flush_stats()
         if self._on_finish is not None:
             self._on_finish(self)
 
-    def _count_instructions(self, count: int) -> None:
-        self.result.instructions += count
-        self._instr.value += count
-        self._instr_total.value += count
+    def flush_stats(self) -> None:
+        """Fold the L1 hits counted since the last flush into the latency
+        stats: exact, as every hit took ``_hit_latency`` cycles and the
+        collectors keep only order-free counts, sums, extrema and buckets.
+        Idempotent; runs when the trace completes."""
+        latency = self._hit_latency
+        result = self.result
+        hits = self._load_hits + self._store_hits
+        if self._load_hits:
+            result.load_latency.record(latency, self._load_hits)
+            self._load_hits = 0
+        if self._store_hits:
+            result.store_latency.record(latency, self._store_hits)
+            self._store_hits = 0
+        if hits:
+            result.latency_hist.record(latency, hits)
 
     # --------------------------------------------------------------- stalls
 
@@ -290,32 +342,9 @@ class Core:
 
     # ------------------------------------------------------------- load path
 
-    def _issue_load(self, address: int, blocking: bool) -> bool:
-        if self._outstanding_loads >= self._max_loads:
-            self._block("memory", lambda: self._outstanding_loads < self._max_loads)
-            return False
-        self._pc += 1
-        self._count_instructions(1)
-        value = self._load_probe(address)
-        if value is not None:
-            # L1 read hit: the latency is the constant L1 round trip and
-            # the wake-up target is known now, so record at issue (latency
-            # records are order-free sums) and schedule the wake directly —
-            # no completion closure. The wake event occupies the same
-            # ``(time, seq)`` slot the general path's completion would
-            # have, so downstream event ordering is unchanged.
-            latency = self._hit_latency
-            self._load_record(latency)
-            self._hist_record(latency)
-            if blocking:
-                # The general path blocks with ``grace == hit latency`` and
-                # therefore charges zero stall for a hit; skipping the
-                # block/wake bookkeeping entirely is equivalent.
-                self._schedule(latency, self._step)
-                return False
-            self._outstanding_loads += 1
-            self._schedule(latency, self._nb_hit_done)
-            return True
+    def _load_missed(self, address: int, blocking: bool) -> bool:
+        """Miss leg of a load (issued and counted by :meth:`_step`); False
+        when the core must wait for it."""
         self._outstanding_loads += 1
         issued = self.sim.now
         completed = [False]  # one-slot cell: cheaper than a dict in this hot path
@@ -336,28 +365,16 @@ class Core:
         return True
 
     def _nb_hit_done(self) -> None:
-        """Completion of a non-blocking L1 hit load (latency was recorded
-        at issue): release the MLP slot and re-check any stall condition."""
+        """Completion of a non-blocking L1 hit load (counted at issue):
+        release the MLP slot and re-check any stall condition."""
         self._outstanding_loads -= 1
         self._maybe_wake()
 
     # ------------------------------------------------------------ store path
 
-    def _issue_store(self, address: int, value: int) -> bool:
-        if self._wb_occupancy >= self._wb_capacity:
-            self._block("memory", lambda: self._wb_occupancy < self._wb_capacity)
-            return False
-        self._pc += 1
-        self._count_instructions(1)
-        self._wb_occupancy += 1
-        if self._store_probe(address, value):
-            # M/E write hit: same record-at-issue + direct wake-up pattern
-            # as the load fast path (see ``_issue_load``).
-            latency = self._hit_latency
-            self._store_record(latency)
-            self._hist_record(latency)
-            self._schedule(latency, self._st_hit_done)
-            return True
+    def _store_missed(self, address: int, value: int) -> None:
+        """Non-hit leg of a store (issued, counted and given its write-buffer
+        slot by :meth:`_step`)."""
         issued = self.sim.now
 
         def on_done() -> None:
@@ -368,10 +385,9 @@ class Core:
             self._maybe_wake()
 
         self._store_miss(address, value, on_done)
-        return True
 
     def _st_hit_done(self) -> None:
-        """Completion of an M/E store hit (latency recorded at issue):
+        """Completion of an M/E store hit (counted at issue):
         drain the write-buffer slot and re-check any stall condition."""
         self._wb_occupancy -= 1
         self._maybe_wake()
@@ -385,7 +401,9 @@ class Core:
             self._block("memory", self._no_outstanding)
             return False
         self._pc += 1
-        self._count_instructions(1)
+        self.result.instructions += 1
+        self._instr.value += 1
+        self._instr_total.value += 1
         issued = self.sim.now
         completed = [False]
 

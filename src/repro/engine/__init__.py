@@ -17,14 +17,13 @@ from repro.engine.errors import (
     ReproError,
     SimulationError,
 )
-from repro.engine.events import Event, EventQueue
+from repro.engine.events import EventQueue
 from repro.engine.rng import DeterministicRng
 from repro.engine.simulator import Simulator
 
 __all__ = [
     "ConfigurationError",
     "DeterministicRng",
-    "Event",
     "EventQueue",
     "ProtocolError",
     "ReproError",

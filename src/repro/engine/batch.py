@@ -11,20 +11,23 @@ Ordering is **exactly** the heap's ``(time, seq)`` total order: by cycle,
 then by schedule order. ``test_pop_order_matches_heap_queue`` checks it
 against :class:`~repro.engine.events.EventQueue`. Why it holds:
 
-* Within one bucket, events append in ``seq`` order (appends happen in
-  schedule order and ``seq`` is monotonic), so a list walk *is* the heap
-  order for that cycle.
+* Within one bucket, events append in schedule order, which is the
+  heap's ``seq`` order, so a list walk *is* the heap order for that cycle.
 * Events scheduled beyond the ring window land in a spill heap keyed by
-  ``(time, seq)``. For any cycle T there is a single crossover: while T is
-  outside the window every schedule for T spills, and once the window
-  reaches T every schedule for T buckets — the ring base only grows. All
-  spilled events for T therefore precede all bucketed events for T in
-  ``seq``, so pulling the spill (heap-ordered) into the bucket *before*
-  later appends preserves the total order.
+  ``(time, seq)``; ``seq`` is drawn only when an event spills, so it is
+  monotonic among spilled events. For any cycle T there is a single
+  crossover: while T is outside the window every schedule for T spills,
+  and once the window reaches T every schedule for T buckets — the ring
+  base only grows. All spilled events for T were therefore scheduled
+  before all bucketed events for T, so pulling the spill (heap-ordered)
+  into the bucket *before* later appends preserves the total order.
 * An event scheduled for the *current* cycle during that cycle's drain
   appends to the bucket being walked and is picked up by the same walk —
   the "same-cycle cohort drains in one pass without re-entering the heap"
   property the cohort queue exists for.
+
+Ring buckets hold bare callbacks: there is no per-event object and no
+cancellation (see :mod:`repro.engine.events`).
 
 Besides the bucket fields ``Simulator.run`` walks directly, the queue
 exposes ``schedule``, ``__len__``, ``peek_time`` and ``pop`` for tests and
@@ -37,7 +40,6 @@ import heapq
 from typing import Callable, List, Optional, Tuple
 
 from repro.engine.errors import SimulationError
-from repro.engine.events import Event
 
 #: Ring width in cycles. Must be a power of two and comfortably larger than
 #: the longest common delay (memory round trips ~80, wireless backoff up to
@@ -70,7 +72,6 @@ class CohortQueue:
         "_window",
         "_spill",
         "_seq",
-        "_live",
         "_ring_live",
         "_base",
         "_horizon",
@@ -81,12 +82,12 @@ class CohortQueue:
             raise SimulationError(f"cohort window must be a power of two, got {window}")
         self._window = window
         self._mask = window - 1
-        self._buckets: List[List[Event]] = [[] for _ in range(window)]
-        #: Events whose cycle lies at or beyond ``_horizon``.
-        self._spill: List[Tuple[int, int, Event]] = []
+        self._buckets: List[List[Callable[[], None]]] = [[] for _ in range(window)]
+        #: ``(time, seq, callback)`` for events at or beyond ``_horizon``.
+        self._spill: List[Tuple[int, int, Callable[[], None]]] = []
+        #: Spill sequence number (ring events need none: see module doc).
         self._seq = 0
-        self._live = 0
-        #: Live events currently resident in the ring (excludes spill).
+        #: Events currently resident in the ring (excludes spill).
         self._ring_live = 0
         #: Smallest cycle the ring can currently represent. Advanced by the
         #: simulator's drain loop (never rewound).
@@ -96,26 +97,18 @@ class CohortQueue:
         self._horizon = window
 
     def __len__(self) -> int:
-        return self._live
+        return self._ring_live + len(self._spill)
 
     # ------------------------------------------------------------- schedule
 
-    def schedule(self, time: int, callback: Callable[[], None]) -> Event:
-        """Enqueue ``callback`` at absolute cycle ``time`` (seq-ordered)."""
-        seq = self._seq
-        event = Event.__new__(Event)
-        event.time = time
-        event.seq = seq
-        event.callback = callback
-        event.cancelled = False
-        self._seq = seq + 1
-        self._live += 1
+    def schedule(self, time: int, callback: Callable[[], None]) -> None:
+        """Enqueue ``callback`` at absolute cycle ``time`` (schedule-ordered)."""
         if time < self._horizon:
-            self._buckets[time & self._mask].append(event)
+            self._buckets[time & self._mask].append(callback)
             self._ring_live += 1
         else:
-            heapq.heappush(self._spill, (time, seq, event))
-        return event
+            heapq.heappush(self._spill, (time, self._seq, callback))
+            self._seq += 1
 
     # ------------------------------------------------------------ advancing
 
@@ -131,66 +124,30 @@ class CohortQueue:
         horizon = base + self._window
         self._horizon = horizon
         spill = self._spill
-        if not spill:
-            return
         buckets = self._buckets
         mask = self._mask
-        pulled = 0
         while spill and spill[0][0] < horizon:
-            _, _, event = heapq.heappop(spill)
-            buckets[event.time & mask].append(event)
-            pulled += 1
-        self._ring_live += pulled
-
-    def next_event_time(self, start: int, bound: Optional[int] = None) -> Optional[int]:
-        """Cycle of the next live event at or after ``start``.
-
-        Scans the ring from ``start`` (bounded by occupancy and the spill
-        head) and considers the spill heap; returns None when empty or when
-        the next event lies beyond ``bound``.
-        """
-        self._drop_dead_spill()
-        spill_head = self._spill[0][0] if self._spill else None
-        if self._ring_live:
-            buckets = self._buckets
-            mask = self._mask
-            limit = self._horizon
-            cycle = start
-            while cycle < limit:
-                if bound is not None and cycle > bound:
-                    return None
-                if spill_head is not None and spill_head <= cycle:
-                    break  # pull the spill before walking further
-                bucket = buckets[cycle & mask]
-                if bucket:
-                    for event in bucket:
-                        if not event.cancelled:
-                            return cycle
-                    # Entire cohort cancelled: reclaim the bucket now.
-                    self._live -= len(bucket)
-                    self._ring_live -= len(bucket)
-                    del bucket[:]
-                cycle += 1
-        if spill_head is None:
-            return None
-        if bound is not None and spill_head > bound:
-            return None
-        return spill_head
-
-    def _drop_dead_spill(self) -> None:
-        spill = self._spill
-        while spill and spill[0][2].cancelled:
-            heapq.heappop(spill)
-            self._live -= 1
+            time, _, callback = heapq.heappop(spill)
+            buckets[time & mask].append(callback)
+            self._ring_live += 1
 
     # ----------------------------------------------- EventQueue-compat API
 
     def peek_time(self) -> Optional[int]:
-        """Cycle of the next live event, or None (EventQueue-compatible)."""
-        return self.next_event_time(self._base)
+        """Cycle of the next event, or None (EventQueue-compatible)."""
+        if self._ring_live:
+            # Ring events lie in [_base, _horizon); spilled ones at or
+            # beyond _horizon, so the ring holds the earliest event.
+            buckets = self._buckets
+            mask = self._mask
+            cycle = self._base
+            while not buckets[cycle & mask]:
+                cycle += 1
+            return cycle
+        return self._spill[0][0] if self._spill else None
 
-    def pop(self) -> Event:
-        """Remove and return the next live event (EventQueue-compatible).
+    def pop(self) -> Callable[[], None]:
+        """Remove and return the next event's callback (EventQueue-compatible).
 
         Used by diagnostics and tests, not by the simulator's drain loop (which
         walks whole cohorts in place).
@@ -199,11 +156,5 @@ class CohortQueue:
         if time is None:
             raise SimulationError("pop() on an empty event queue")
         self.advance_base(time)
-        bucket = self._buckets[time & self._mask]
-        while bucket:
-            event = bucket.pop(0)
-            self._live -= 1
-            self._ring_live -= 1
-            if not event.cancelled and event.time == time:
-                return event
-        raise SimulationError("pop() on an empty event queue")  # pragma: no cover
+        self._ring_live -= 1
+        return self._buckets[time & self._mask].pop(0)

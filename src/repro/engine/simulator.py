@@ -8,12 +8,12 @@ how the wireless channel latencies are expressed).
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappush
+from sys import maxsize
 from typing import Callable, List, Optional
 
 from repro.engine.batch import CohortQueue
 from repro.engine.errors import SimulationError
-from repro.engine.events import Event
 from repro.engine.rng import DeterministicRng
 
 
@@ -56,7 +56,7 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Live (non-cancelled) events still queued.
+        """Events still queued.
 
         Periodic observers (e.g. the online invariant checker) use this to
         decide whether to re-arm: a self-rescheduling event would otherwise
@@ -64,57 +64,41 @@ class Simulator:
         """
         return len(self.queue)
 
-    def schedule(self, delay: int, callback: Callable[[], None]) -> Event:
+    def schedule(self, delay: int, callback: Callable[[], None]) -> None:
         """Run ``callback`` ``delay`` cycles from now (delay >= 0).
 
-        The event creation and queue insert are inlined (mirroring
-        :meth:`CohortQueue.schedule` exactly): scheduling is the most-called
-        operation in the kernel and the extra call frame was measurable.
+        The queue insert is inlined (mirroring :meth:`CohortQueue.schedule`
+        exactly): scheduling is the most-called operation in the kernel and
+        the extra call frame was measurable.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         time = self.now + delay
         queue = self.queue
-        seq = queue._seq
-        event = Event.__new__(Event)
-        event.time = time
-        event.seq = seq
-        event.callback = callback
-        event.cancelled = False
-        queue._seq = seq + 1
-        queue._live += 1
         if time < queue._horizon:
-            queue._buckets[time & queue._mask].append(event)
+            queue._buckets[time & queue._mask].append(callback)
             queue._ring_live += 1
         else:
-            heapq.heappush(queue._spill, (time, seq, event))
-        return event
+            heappush(queue._spill, (time, queue._seq, callback))
+            queue._seq += 1
 
-    def schedule_at(self, time: int, callback: Callable[[], None]) -> Event:
+    def schedule_at(self, time: int, callback: Callable[[], None]) -> None:
         """Run ``callback`` at absolute cycle ``time`` (time >= now).
 
-        Inlined like :meth:`schedule`; the ordering and sequence-number
-        semantics are identical to ``CohortQueue.schedule``.
+        Inlined like :meth:`schedule`; the ordering semantics are identical
+        to ``CohortQueue.schedule``.
         """
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at cycle {time}, already at cycle {self.now}"
             )
         queue = self.queue
-        seq = queue._seq
-        event = Event.__new__(Event)
-        event.time = time
-        event.seq = seq
-        event.callback = callback
-        event.cancelled = False
-        queue._seq = seq + 1
-        queue._live += 1
         if time < queue._horizon:
-            queue._buckets[time & queue._mask].append(event)
+            queue._buckets[time & queue._mask].append(callback)
             queue._ring_live += 1
         else:
-            heapq.heappush(queue._spill, (time, seq, event))
-        return event
+            heappush(queue._spill, (time, queue._seq, callback))
+            queue._seq += 1
 
     def stop(self) -> None:
         """Request that :meth:`run` return before the next event."""
@@ -127,10 +111,10 @@ class Simulator:
         queue's buckets directly instead of going through
         ``peek_time()``/``pop()``. Each iteration advances the clock to the
         next occupied cycle and drains that cycle's *entire cohort* as one
-        list walk, including events the cohort schedules for its own
-        cycle: they append to the bucket being walked and are picked up by
-        the same pass. Ordering is the ``(time, seq)`` total order of
-        :mod:`repro.engine.batch`.
+        ``for`` loop over the bucket, including events the cohort schedules
+        for its own cycle: they append to the list being walked and are
+        picked up by the same loop. Ordering is the ``(time, seq)`` total
+        order of :mod:`repro.engine.batch`.
 
         Parameters
         ----------
@@ -141,53 +125,33 @@ class Simulator:
             Safety valve for tests: raise :class:`SimulationError` *before*
             executing event ``max_events + 1`` in this call, i.e. at most
             ``max_events`` callbacks run (a runaway protocol loop otherwise
-            spins forever).
+            spins forever). The event that would exceed the budget stays
+            queued.
         """
-        executed_here = 0
         self._stopped = False
         queue = self.queue
         buckets = queue._buckets
         mask = queue._mask
         spill = queue._spill
-        heappop = heapq.heappop
-        cycle = self.now
         half_window = queue._window >> 1
         adv_at = queue._base + half_window
+        #: Callbacks this call may still run.
+        room = max_events if max_events is not None else maxsize
+        cycle = self.now
         while not self._stopped:
-            # ---- locate the next cycle holding a live event (inline scan;
-            # ---- the method-call version lives on CohortQueue for tests).
+            # ---- locate the next occupied cycle (inline scan; the method
+            # ---- version is CohortQueue.peek_time). Ring events lie in
+            # ---- [now, horizon), so the scan ends inside the ring.
             if queue._ring_live:
-                limit = queue._horizon
-                while cycle < limit and not buckets[cycle & mask]:
+                while not buckets[cycle & mask]:
                     cycle += 1
-                if cycle >= limit:  # pragma: no cover - ring_live guards this
-                    queue.advance_base(cycle)
-                    adv_at = cycle + half_window
-                    continue
             else:
-                while spill and spill[0][2].cancelled:
-                    heappop(spill)
-                    queue._live -= 1
                 if not spill:
                     break  # fully drained; the clock stays where it is
                 cycle = spill[0][0]
                 queue.advance_base(cycle)
                 adv_at = cycle + half_window
                 continue  # spill pulled into the ring; rescan from its cycle
-            bucket = buckets[cycle & mask]
-            # Tombstone-only cohorts must not advance the clock: reclaim
-            # them and move on without touching ``self.now``.
-            live_at = -1
-            for i, event in enumerate(bucket):
-                if not event.cancelled:
-                    live_at = i
-                    break
-            if live_at < 0:
-                dead = len(bucket)
-                queue._live -= dead
-                queue._ring_live -= dead
-                del bucket[:]
-                continue
             if until is not None and cycle > until:
                 self.now = until
                 break
@@ -199,44 +163,37 @@ class Simulator:
                 # (spill times always lie at/beyond the pre-advance horizon).
                 queue.advance_base(cycle)
                 adv_at = cycle + half_window
-            now = cycle
-            self.now = now
-            # ---- drain the whole cohort in one pass. The bound is re-read
-            # ---- each step so same-cycle appends made by callbacks extend
-            # ---- the current pass instead of re-entering any queue.
+            self.now = cycle
+            bucket = buckets[cycle & mask]
+            # ---- drain the whole cohort in one pass; same-cycle appends
+            # ---- made by callbacks extend the walk.
             consumed = 0
-            if max_events is None:
-                while consumed < len(bucket) and not self._stopped:
-                    event = bucket[consumed]
-                    consumed += 1
-                    if event.cancelled:
-                        continue
-                    event.callback()
-                    self._events_executed += 1
-            else:
-                while consumed < len(bucket) and not self._stopped:
-                    event = bucket[consumed]
-                    consumed += 1
-                    if event.cancelled:
-                        continue
-                    if executed_here >= max_events:
-                        queue._live -= consumed
-                        queue._ring_live -= consumed
-                        del bucket[:consumed]
+            try:
+                for consumed, callback in enumerate(bucket, 1):
+                    if consumed > room:
                         raise SimulationError(
                             f"exceeded max_events={max_events}; "
                             "likely a livelocked protocol transaction"
                         )
-                    event.callback()
-                    self._events_executed += 1
-                    executed_here += 1
-            queue._live -= consumed
-            queue._ring_live -= consumed
-            if consumed == len(bucket):
-                del bucket[:]
-            else:  # stopped mid-cohort: keep the unconsumed tail
-                del bucket[:consumed]
+                    callback()
+                    if self._stopped:
+                        break
+            except BaseException:
+                # The event over budget never ran and one whose callback
+                # raised did not complete: either stays queued with the
+                # rest of the cohort, and only the events before it count.
+                self._retire(bucket, consumed - 1)
+                raise
+            room -= consumed
+            self._retire(bucket, consumed)
         if self.drain_hooks and not len(queue):
             for hook in self.drain_hooks:
                 hook()
         return self.now
+
+    def _retire(self, bucket: List[Callable[[], None]], consumed: int) -> None:
+        """Count and remove the first ``consumed`` callbacks of ``bucket``
+        (all of it after a full drain; a stop or budget keeps the tail)."""
+        self._events_executed += consumed
+        self.queue._ring_live -= consumed
+        del bucket[:consumed]

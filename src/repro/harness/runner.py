@@ -201,6 +201,53 @@ def _resolve_profile(app) -> AppProfile:
         ) from None
 
 
+def harvest(
+    machine: Manycore, cores: List[Core], config: SystemConfig, app: str
+) -> SimulationResult:
+    """Fold a finished machine and its cores into a :class:`SimulationResult`.
+
+    The one harvest of live (:func:`run_app`) and replayed
+    (:mod:`repro.traces.replay`) runs, so their results stay
+    digest-comparable.
+    """
+    cycles = max(core.result.finish_cycle for core in cores)
+    stats = machine.stats
+    sharer_hist = stats.histogram(
+        "widir.sharers_per_update",
+        (((0, 5), (6, 10), (11, 25), (26, 49), (50, None))),
+    )
+    hop_hist = stats.histogram(
+        "noc.hops_per_leg", ((0, 2), (3, 5), (6, 8), (9, 11), (12, None))
+    )
+    collision_prob = (
+        machine.wireless.collision_probability if machine.wireless else 0.0
+    )
+    energy = EnergyModel().compute(config, stats, cycles)
+    merged_hist = Histogram("memory_latency")
+    for core in cores:
+        merged_hist.merge(core.result.latency_hist)
+
+    return SimulationResult(
+        app=app,
+        config=config,
+        cycles=cycles,
+        instructions=stats.get_counter("core.total.instructions"),
+        memory_stall_cycles=sum(c.result.memory_stall_cycles for c in cores),
+        sync_stall_cycles=sum(c.result.sync_stall_cycles for c in cores),
+        load_latency_total=sum(c.result.load_latency.total for c in cores),
+        store_latency_total=sum(c.result.store_latency.total for c in cores),
+        read_misses=stats.get_counter("l1.total.read_misses"),
+        write_misses=stats.get_counter("l1.total.write_misses"),
+        wireless_writes=stats.get_counter("l1.total.wireless_writes"),
+        sharer_histogram=dict(zip(sharer_hist.labels(), sharer_hist.counts)),
+        hop_histogram=dict(zip(hop_hist.labels(), hop_hist.counts)),
+        collision_probability=collision_prob,
+        energy=energy,
+        stats_counters=stats.counters(),
+        latency_histogram=merged_hist.to_dict(),
+    )
+
+
 def run_app(
     app,
     config: SystemConfig,
@@ -248,42 +295,7 @@ def run_app(
     if check:
         machine.check_coherence()
 
-    cycles = max(core.result.finish_cycle for core in cores)
-    stats = machine.stats
-    sharer_hist = stats.histogram(
-        "widir.sharers_per_update",
-        (((0, 5), (6, 10), (11, 25), (26, 49), (50, None))),
-    )
-    hop_hist = stats.histogram(
-        "noc.hops_per_leg", ((0, 2), (3, 5), (6, 8), (9, 11), (12, None))
-    )
-    collision_prob = (
-        machine.wireless.collision_probability if machine.wireless else 0.0
-    )
-    energy = EnergyModel().compute(config, stats, cycles)
-    merged_hist = Histogram("memory_latency")
-    for core in cores:
-        merged_hist.merge(core.result.latency_hist)
-
-    return SimulationResult(
-        app=profile.name,
-        config=config,
-        cycles=cycles,
-        instructions=stats.get_counter("core.total.instructions"),
-        memory_stall_cycles=sum(c.result.memory_stall_cycles for c in cores),
-        sync_stall_cycles=sum(c.result.sync_stall_cycles for c in cores),
-        load_latency_total=sum(c.result.load_latency.total for c in cores),
-        store_latency_total=sum(c.result.store_latency.total for c in cores),
-        read_misses=stats.get_counter("l1.total.read_misses"),
-        write_misses=stats.get_counter("l1.total.write_misses"),
-        wireless_writes=stats.get_counter("l1.total.wireless_writes"),
-        sharer_histogram=dict(zip(sharer_hist.labels(), sharer_hist.counts)),
-        hop_histogram=dict(zip(hop_hist.labels(), hop_hist.counts)),
-        collision_probability=collision_prob,
-        energy=energy,
-        stats_counters=stats.counters(),
-        latency_histogram=merged_hist.to_dict(),
-    )
+    return harvest(machine, cores, config, profile.name)
 
 
 def run_pair(

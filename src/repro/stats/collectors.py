@@ -49,9 +49,10 @@ class LatencyStat:
         self.min: Optional[int] = None
         self.max: Optional[int] = None
 
-    def record(self, value: int) -> None:
-        self.count += 1
-        self.total += value
+    def record(self, value: int, times: int = 1) -> None:
+        """Record ``value`` ``times`` times (``times`` >= 1)."""
+        self.count += times
+        self.total += value * times
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
@@ -101,12 +102,13 @@ class Histogram:
         self.min: Optional[int] = None
         self.max: Optional[int] = None
 
-    def record(self, value: int) -> None:
+    def record(self, value: int, times: int = 1) -> None:
+        """Record ``value`` ``times`` times (``times`` >= 1)."""
         if value < 0:
             value = 0
-        self.buckets[value.bit_length()] += 1
-        self.count += 1
-        self.total += value
+        self.buckets[value.bit_length()] += times
+        self.count += times
+        self.total += value * times
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:

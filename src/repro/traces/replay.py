@@ -43,6 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cpu.trace import TraceChunk
 from repro.engine.errors import SimulationError
+from repro.harness.runner import harvest
 from repro.traces.format import TraceFormatError, TraceReader
 from repro.traces.snapshot import (
     capture_machine,
@@ -130,52 +131,6 @@ def _run_ops(machine, cores, barrier, reader, window, label: str) -> None:
         )
 
 
-def _harvest(machine, cores, config, app: str):
-    """Fold a finished machine into a SimulationResult — ``run_app``'s
-    harvest, verbatim, so replay results are digest-comparable to live
-    runs."""
-    from repro.energy.models import EnergyModel
-    from repro.harness.runner import SimulationResult
-    from repro.stats.collectors import Histogram
-
-    cycles = max(core.result.finish_cycle for core in cores)
-    stats = machine.stats
-    sharer_hist = stats.histogram(
-        "widir.sharers_per_update",
-        (((0, 5), (6, 10), (11, 25), (26, 49), (50, None))),
-    )
-    hop_hist = stats.histogram(
-        "noc.hops_per_leg", ((0, 2), (3, 5), (6, 8), (9, 11), (12, None))
-    )
-    collision_prob = (
-        machine.wireless.collision_probability if machine.wireless else 0.0
-    )
-    energy = EnergyModel().compute(config, stats, cycles)
-    merged_hist = Histogram("memory_latency")
-    for core in cores:
-        merged_hist.merge(core.result.latency_hist)
-
-    return SimulationResult(
-        app=app,
-        config=config,
-        cycles=cycles,
-        instructions=stats.get_counter("core.total.instructions"),
-        memory_stall_cycles=sum(c.result.memory_stall_cycles for c in cores),
-        sync_stall_cycles=sum(c.result.sync_stall_cycles for c in cores),
-        load_latency_total=sum(c.result.load_latency.total for c in cores),
-        store_latency_total=sum(c.result.store_latency.total for c in cores),
-        read_misses=stats.get_counter("l1.total.read_misses"),
-        write_misses=stats.get_counter("l1.total.write_misses"),
-        wireless_writes=stats.get_counter("l1.total.wireless_writes"),
-        sharer_histogram=dict(zip(sharer_hist.labels(), sharer_hist.counts)),
-        hop_histogram=dict(zip(hop_hist.labels(), hop_hist.counts)),
-        collision_probability=collision_prob,
-        energy=energy,
-        stats_counters=stats.counters(),
-        latency_histogram=merged_hist.to_dict(),
-    )
-
-
 def _fresh_machine(config):
     from repro.cpu.core import Core
     from repro.cpu.sync import PhaseBarrier
@@ -237,7 +192,7 @@ def replay_trace(
             _run_ops(machine, cores, barrier, reader, window, app)
             if check:
                 machine.check_coherence()
-            return _harvest(machine, cores, config, app)
+            return harvest(machine, cores, config, app)
 
         cuts = plan_segments(reader, snapshot_every)
         start_segment = 0
@@ -292,7 +247,7 @@ def replay_trace(
             machine_sink.append(machine)
         if check:
             machine.check_coherence()
-        result = _harvest(machine, cores, config, app)
+        result = harvest(machine, cores, config, app)
         if snapshot_path is not None:
             # The run completed; a leftover snapshot would wrongly resume
             # a future identical invocation past its final segment.
@@ -332,4 +287,4 @@ def replay_window(
         _run_ops(machine, cores, barrier, reader, spans, app)
         if check:
             machine.check_coherence()
-        return _harvest(machine, cores, config, app)
+        return harvest(machine, cores, config, app)

@@ -126,6 +126,10 @@ def assert_quiescent(machine, cores, barrier=None) -> None:
             core._outstanding_loads == 0 and core._wb_occupancy == 0,
             f"core {core.node} has outstanding memory traffic",
         )
+        _require(
+            not core._load_hits and not core._store_hits,
+            f"core {core.node} has L1 hits not folded into its stats",
+        )
 
 
 # ------------------------------------------------------------------ capture

@@ -5,7 +5,7 @@ the cohort queue and the simulator's drain keep the ``(time, seq)`` total
 order of a plain heap *exactly* — same callback execution order, same
 clock values, same ``until``/``max_events``/``stop`` semantics —
 including the awkward corners (spill-heap crossover, events scheduled for
-the current cycle mid-drain, tombstone-only cohorts).
+the current cycle mid-drain).
 The golden-digest suite proves the same thing end-to-end on full runs;
 these tests pin each mechanism in isolation so a violation fails with a
 readable diff instead of a digest mismatch.
@@ -64,9 +64,9 @@ class TestCohortQueue:
             heap_q.schedule(time, lambda t=tag: heap_order.append(t))
             cohort_q.schedule(time, lambda t=tag: cohort_order.append(t))
         while len(heap_q):
-            heap_q.pop().callback()
+            heap_q.pop()()
         while len(cohort_q):
-            cohort_q.pop().callback()
+            cohort_q.pop()()
         assert cohort_order == heap_order
 
     def test_spill_crossover_preserves_seq_order(self):
@@ -80,18 +80,8 @@ class TestCohortQueue:
         q.advance_base(9)  # ring now covers [9, 17); spill pulled in
         q.schedule(9, lambda: fired.append("bucketed"))
         while len(q):
-            q.pop().callback()
+            q.pop()()
         assert fired == ["spilled-0", "spilled-1", "bucketed"]
-
-    def test_cancelled_events_are_skipped_everywhere(self):
-        q = CohortQueue(window=8)
-        near = q.schedule(2, lambda: pytest.fail("cancelled near event ran"))
-        far = q.schedule(100, lambda: pytest.fail("cancelled far event ran"))
-        keep = q.schedule(3, lambda: None)
-        near.cancel()
-        far.cancel()
-        assert q.peek_time() == 3
-        assert q.pop() is keep
 
     def test_peek_time_considers_spill_head(self):
         q = CohortQueue(window=8)
@@ -148,31 +138,36 @@ class TestBatchedSimulatorParity:
         sim.run()  # resuming drains the kept tail
         assert fired == ["first", "tail"]
 
-    def test_tombstone_only_cohort_does_not_advance_clock(self):
-        # A cycle whose every event was cancelled must not become ``now``.
-        sim = Simulator()
-        seen = []
-        dead_a = sim.schedule(2, lambda: pytest.fail("dead ran"))
-        dead_b = sim.schedule(2, lambda: pytest.fail("dead ran"))
-        sim.schedule(9, lambda: seen.append(sim.now))
-        dead_a.cancel()
-        dead_b.cancel()
-        sim.run()
-        assert seen == [9]
+    def test_spilled_same_cycle_events_keep_schedule_order(self):
+        # Events beyond the window spill one by one; the ones sharing a
+        # cycle must come back in schedule order, interleaved correctly
+        # with a spilled event for an earlier cycle scheduled between them
+        # and with ring events scheduled for that cycle once it is near.
+        far = 3 * COHORT_WINDOW
 
-    def test_cancel_during_same_cycle_cohort(self):
-        # An event cancelled by an earlier event of the SAME cycle must not
-        # run, whatever its position in the cohort.
+        def populate(sim, fired):
+            for i in range(3):
+                sim.schedule(far, lambda i=i: fired.append(f"far-{i}"))
+            sim.schedule_at(far - 1, lambda: fired.append("before"))
+            for i in range(3, 6):
+                sim.schedule_at(far, lambda i=i: fired.append(f"far-{i}"))
+
+            def near():
+                fired.append("near")
+                sim.schedule_at(far, lambda: fired.append("ring"))
+
+            sim.schedule_at(far - 10, near)
+
+        fired, end, executed = self._run(populate)
+        assert fired == ["near", "before"] + [f"far-{i}" for i in range(6)] + ["ring"]
+        assert end == far
+        assert executed == 9
+
+    def test_schedule_returns_nothing(self):
         sim = Simulator()
-        fired = []
-        victim = sim.schedule(4, lambda: fired.append("victim"))
-        sim.schedule(4, lambda: fired.append("killer"))
-        # killer is scheduled after victim, so victim fires first; kill
-        # a later same-cycle event from the first one instead:
-        victim2 = sim.schedule(4, lambda: fired.append("victim2"))
-        victim.callback = lambda: (fired.append("assassin"), victim2.cancel())
-        sim.run()
-        assert fired == ["assassin", "killer"]
+        assert sim.schedule(1, lambda: None) is None
+        assert sim.schedule_at(COHORT_WINDOW * 2, lambda: None) is None
+        assert sim.pending_events == 2
 
     def test_long_horizon_rescheduling_chain(self):
         # A self-rescheduling event that hops half a window each time walks

@@ -25,7 +25,7 @@ class TestEventQueue:
         q.schedule(10, lambda: fired.append(10))
         q.schedule(20, lambda: fired.append(20))
         while len(q):
-            q.pop().callback()
+            q.pop()()
         assert fired == [10, 20, 30]
 
     def test_same_cycle_events_fire_in_schedule_order(self):
@@ -34,51 +34,14 @@ class TestEventQueue:
         for i in range(10):
             q.schedule(5, lambda i=i: fired.append(i))
         while len(q):
-            q.pop().callback()
+            q.pop()()
         assert fired == list(range(10))
-
-    def test_cancelled_event_is_skipped(self):
-        q = EventQueue()
-        event = q.schedule(1, lambda: pytest.fail("cancelled event ran"))
-        keep = q.schedule(2, lambda: None)
-        event.cancel()
-        assert q.pop() is keep
-
-    def test_cancel_updates_live_count(self):
-        q = EventQueue()
-        event = q.schedule(1, lambda: None)
-        q.schedule(2, lambda: None)
-        event.cancel()
-        assert q.peek_time() == 2
-        assert len(q) == 1
 
     def test_peek_time_returns_earliest(self):
         q = EventQueue()
         q.schedule(7, lambda: None)
         q.schedule(3, lambda: None)
         assert q.peek_time() == 3
-
-    def test_cancel_at_head_between_peek_and_pop(self):
-        """Regression: cancelling the head *after* peek_time() must not let
-        pop() hand back the tombstone."""
-        q = EventQueue()
-        head = q.schedule(1, lambda: pytest.fail("cancelled head ran"))
-        keep = q.schedule(1, lambda: None)
-        assert q.peek_time() == 1  # head is still live at peek time
-        head.cancel()  # a same-cycle callback cancels the head
-        popped = q.pop()
-        assert popped is keep
-        assert not popped.cancelled
-
-    def test_pop_skips_runs_of_tombstones(self):
-        q = EventQueue()
-        dead = [q.schedule(t, lambda: None) for t in (1, 2, 3)]
-        keep = q.schedule(4, lambda: None)
-        for event in dead:
-            event.cancel()
-        assert q.pop() is keep
-        with pytest.raises(SimulationError):
-            q.pop()
 
 
 class TestSimulator:
@@ -169,18 +132,23 @@ class TestSimulator:
         sim.run()
         assert fired[-1] == ("b", 0)
 
-    def test_cancel_within_same_cycle_batch(self):
-        """A callback cancelling a later event of the *same* cycle must
-        suppress it even inside the batched drain."""
+    def test_raising_callback_keeps_count_exact(self):
+        """A callback that raises was not executed: it and the rest of its
+        cohort stay queued, and the events before it are counted."""
         sim = Simulator()
         fired = []
-        holder = {}
-        # Scheduled first => runs first; cancels its same-cycle successor.
-        sim.schedule(5, lambda: holder["victim"].cancel())
-        holder["victim"] = sim.schedule(5, lambda: fired.append("victim"))
-        sim.run()
-        assert fired == []
+
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.schedule(1, lambda: fired.append("first"))
+        sim.schedule(1, boom)
+        sim.schedule(1, lambda: fired.append("tail"))
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert fired == ["first"]
         assert sim.events_executed == 1
+        assert sim.pending_events == 2
 
     def test_stop_requests_early_return(self):
         sim = Simulator()
