@@ -20,9 +20,9 @@ DESIGN.md.
 
 Perf telemetry: the session emits ``BENCH_harness.json`` (override the path
 with ``REPRO_BENCH_PATH``; set it empty to disable) recording wall-clock per
-benchmark, the executor's serial-equivalent simulation seconds vs. its
-actual wall seconds, worker count, and the memo-cache hit rate — the
-numbers that track the harness's perf trajectory across PRs.
+benchmark plus the sections individual benchmarks fill (kernel, obs
+overhead, cold executor round, trace replay, MAC comparison). Speed
+numbers of record come from ``perfbench/``, not from this session.
 """
 
 import json
@@ -113,16 +113,11 @@ _KERNEL_METRICS = {}
 #: Observability-overhead metrics (enabled/disabled wall ratios) from
 #: benchmarks/test_bench_obs.py; lands under ``"obs"``.
 _OBS_METRICS = {}
-#: Distributed-campaign scaling metrics (worker-count wall-clock bars,
-#: speedup, digest identity) from benchmarks/test_bench_distributed.py;
-#: lands under ``"distributed"`` and is drift-gated in CI.
-_DISTRIBUTED_METRICS = {}
 #: Cold-cache executor metrics (cold vs warm wall seconds over a private
 #: cache dir) from benchmarks/test_bench_executor.py; lands under
-#: ``"executor_cold"``. The session-wide ``executor`` section above runs
-#: hot against the developer's persistent cache (hit rate ~1.0, executed
-#: 0), which told us nothing about execution cost — this section is the
-#: cold round that fills that blind spot.
+#: ``"executor_cold"``. It is the only executor section: a session-wide
+#: one ran hot against the developer's persistent cache (hit rate ~1.0,
+#: 0 executed) and so measured nothing about execution cost.
 _EXECUTOR_COLD_METRICS = {}
 #: Streaming trace-replay metrics (record/scan/replay refs/s, bounded-
 #: memory peaks, replay speedup over live) from
@@ -146,13 +141,6 @@ def kernel_metrics():
 def obs_metrics():
     """Mutable dict the obs-overhead benchmark fills; emitted as ``obs``."""
     return _OBS_METRICS
-
-
-@pytest.fixture(scope="session")
-def distributed_metrics():
-    """Mutable dict the distributed-scaling benchmark fills; emitted as
-    ``distributed`` (CI drift-gates ``speedup_4x``)."""
-    return _DISTRIBUTED_METRICS
 
 
 @pytest.fixture(scope="session")
@@ -199,10 +187,6 @@ def pytest_sessionfinish(session, exitstatus):
         return
     from repro.harness.executor import default_executor
 
-    stats = default_executor().stats
-    # sim_seconds is the summed cost of every simulation actually executed
-    # (what a one-core serial harness would have paid for the *unique* runs);
-    # wall_seconds is what the executor actually spent dispatching them.
     payload = {
         "schema": 1,
         "generated_unix": round(time.time(), 2),
@@ -216,18 +200,11 @@ def pytest_sessionfinish(session, exitstatus):
             "cache_enabled": default_executor().use_cache,
         },
         "figures": dict(sorted(_BENCH_TIMINGS.items())),
-        "executor": {
-            **stats.as_dict(),
-            "serial_equivalent_seconds": round(stats.sim_seconds, 3),
-            "parallel_wall_seconds": round(stats.wall_seconds, 3),
-        },
     }
     if _KERNEL_METRICS:
         payload["kernel"] = dict(sorted(_KERNEL_METRICS.items()))
     if _OBS_METRICS:
         payload["obs"] = dict(sorted(_OBS_METRICS.items()))
-    if _DISTRIBUTED_METRICS:
-        payload["distributed"] = dict(sorted(_DISTRIBUTED_METRICS.items()))
     if _EXECUTOR_COLD_METRICS:
         payload["executor_cold"] = dict(sorted(_EXECUTOR_COLD_METRICS.items()))
     if _TRACE_REPLAY_METRICS:

@@ -30,7 +30,7 @@ from repro.harness.runner import SimulationResult
 from repro.system import Manycore
 from repro.workloads import ALL_APPS, APP_PROFILES, AppProfile, build_traces
 
-__version__ = "1.2.0"
+__version__ = "1.3.0"
 
 __all__ = [
     "ALL_APPS",

@@ -56,7 +56,6 @@ __all__ = [
     "campaign",
     "compare",
     "convert_trace",
-    "distributed_campaign",
     "macs",
     "protocols",
     "record_trace",
@@ -538,73 +537,6 @@ def campaign(
         resume=resume,
         supervisor=supervisor,
         executor=_executor(workers, cache),
-    )
-
-
-def distributed_campaign(
-    name: str,
-    *,
-    apps: Sequence[str] = (),
-    out: Union[str, Path],
-    kind: str = "protocols",
-    cores: Union[int, Sequence[int]] = 16,
-    thresholds: Sequence[int] = (2, 3, 4, 5),
-    memops: Optional[int] = None,
-    seed: int = 42,
-    trace_seed: int = 0,
-    workers: int = 2,
-    shards: Optional[int] = None,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    cache: bool = True,
-    store: Optional[Union[str, Path]] = None,
-    tenant: str = "default",
-    retries: int = 3,
-    backoff_seed: int = 0,
-    lease_timeout: float = 120.0,
-    timeout: Optional[float] = None,
-    protocols: Sequence[str] = ("baseline", "widir"),
-    trace_path: Optional[Union[str, Path]] = None,
-    trace_shards: int = 0,
-    macs: Sequence[str] = ("brs",),
-):
-    """Run (or resume) a campaign across ``workers`` distributed agents;
-    returns a :class:`~repro.harness.distributed.DistributedReport`.
-
-    An asyncio coordinator shards the run matrix, local worker agents
-    lease/steal/execute over the loopback RPC protocol, and completions
-    land in per-shard crash-safe journals. The merged ``results.json``
-    sha256 is byte-identical to :func:`campaign` on the same plan — the
-    resume-identity contract extends across worker counts, steals, and
-    kills. ``workers=0`` serves remote agents only (pair with
-    ``repro campaign worker --connect``). Pass ``store=`` (a directory)
-    to dedupe runs through the content-addressed multi-tenant result
-    store and publish this campaign's manifest under ``tenant``.
-    ``trace_path=``/``trace_shards=`` fan a recorded trace's barrier-safe
-    shard windows across the workers (trace-sharded campaigns; each
-    window replays cold on whichever worker leases it).
-    """
-    from repro.harness.distributed import run_distributed
-    from repro.harness.resultstore import ResultStore
-    from repro.harness.supervisor import RetryPolicy
-
-    spec = _campaign_spec(
-        name, kind, apps, cores, thresholds, memops, seed, trace_seed,
-        protocols, trace_path, trace_shards, macs,
-    )
-    return run_distributed(
-        Path(out),
-        spec,
-        workers=workers,
-        shards=shards,
-        host=host,
-        port=port,
-        executor=_executor(1, cache),
-        store=ResultStore(store) if store is not None else None,
-        tenant=tenant,
-        retry=RetryPolicy(max_attempts=retries, seed=backoff_seed),
-        lease_timeout=lease_timeout,
-        timeout=timeout,
     )
 
 

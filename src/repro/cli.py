@@ -25,10 +25,6 @@ campaign resume     resume an interrupted/degraded campaign where it died
 campaign status     inspect a campaign's journal (progress, retries)
 campaign render     render a figure from a campaign's (possibly partial)
                     results
-campaign serve      drive a campaign over distributed workers (local
-                    forks and/or remote ``campaign worker`` agents)
-campaign worker     join a running coordinator and execute leases
-campaign submit     push pending runs into a running coordinator
 ==================  ======================================================
 
 The ``trace`` noun is the *observability* layer (captures, timelines);
@@ -133,9 +129,6 @@ CLI_COMMANDS: Tuple[Tuple[str, ...], ...] = (
     ("campaign", "resume"),
     ("campaign", "status"),
     ("campaign", "render"),
-    ("campaign", "serve"),
-    ("campaign", "worker"),
-    ("campaign", "submit"),
 )
 
 # -------------------------------------------------------- parent parsers
@@ -506,179 +499,7 @@ def _configure_campaign_resume(parser: argparse.ArgumentParser) -> None:
 
 
 def _configure_campaign_status(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "dir",
-        nargs="?",
-        default=None,
-        help="campaign directory to inspect (optional with --connect)",
-    )
-    parser.add_argument(
-        "--connect",
-        default=None,
-        metavar="HOST:PORT",
-        help="query a running coordinator for live per-shard progress",
-    )
-    parser.add_argument(
-        "--live",
-        action="store_true",
-        help="auto-discover the coordinator advertised in DIR and query it",
-    )
-
-
-def _configure_campaign_serve(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--name", default=None,
-        help="campaign name (default: the --out directory name)",
-    )
-    parser.add_argument(
-        "--sweep",
-        choices=("protocols", "thresholds", "trace"),
-        default="protocols",
-        help="run matrix: Baseline-vs-WiDir pairs, a MaxWiredSharers "
-        "threshold sweep, or barrier-safe shards of one recorded trace",
-    )
-    parser.add_argument(
-        "--apps",
-        default=None,
-        help="comma-separated app list, or 'all' (omit to resume an "
-        "existing campaign directory)",
-    )
-    parser.add_argument(
-        "--thresholds", default="2,3,4,5",
-        help="MaxWiredSharers values for --sweep thresholds",
-    )
-    parser.add_argument(
-        "--protocols", default="baseline,widir",
-        help="comma-separated backend names for --sweep protocols, or "
-        "'all' (see repro apps list --protocols)",
-    )
-    parser.add_argument(
-        "--macs", default="brs",
-        help="comma-separated wireless MAC backends to cross with every "
-        "wireless protocol, or 'all' (see repro apps list --macs)",
-    )
-    parser.add_argument(
-        "--trace-seed", type=int, default=0, help="workload trace seed"
-    )
-    parser.add_argument(
-        "--trace-path", default=None,
-        help="recorded trace file for --sweep trace",
-    )
-    parser.add_argument(
-        "--trace-shards", type=int, default=0,
-        help="shard-window count for --sweep trace (<= 1: whole trace)",
-    )
-    group = parser.add_argument_group("distributed")
-    group.add_argument(
-        "--host", default="127.0.0.1", help="coordinator bind address"
-    )
-    group.add_argument(
-        "--port", type=int, default=0,
-        help="coordinator TCP port (0 picks a free port)",
-    )
-    group.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="journal shard count (default: 2x workers, so steals occur)",
-    )
-    group.add_argument(
-        "--lease-timeout",
-        type=float,
-        default=120.0,
-        help="seconds before an unacknowledged lease is requeued",
-    )
-    group.add_argument(
-        "--store",
-        default=None,
-        help="content-addressed result-store directory (multi-tenant "
-        "cross-campaign dedup)",
-    )
-    group.add_argument(
-        "--tenant", default="default", help="result-store tenant name"
-    )
-    group.add_argument(
-        "--runner",
-        choices=("sim", "sleep"),
-        default="sim",
-        help="what workers execute: real simulations, or deterministic "
-        "sleeps (orchestration benchmarking)",
-    )
-    group.add_argument(
-        "--runner-seconds",
-        type=float,
-        default=0.0,
-        help="per-run sleep for --runner sleep",
-    )
-    group.add_argument(
-        "--chaos-kill-after",
-        type=int,
-        default=None,
-        help="SIGKILL one busy local worker after N results (fault drill)",
-    )
-    supervision = parser.add_argument_group("supervision")
-    supervision.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="campaign wall-clock budget in seconds (default: unlimited)",
-    )
-    supervision.add_argument(
-        "--retries",
-        type=int,
-        default=3,
-        help="attempts per run before giving up and degrading (default 3)",
-    )
-    supervision.add_argument(
-        "--backoff-seed", type=int, default=0,
-        help="seed of the retry-backoff RNG",
-    )
-    supervision.add_argument(
-        "--trace-out",
-        default=None,
-        help="write lease/steal spans as a Chrome trace JSON",
-    )
-
-
-def _configure_campaign_worker(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="coordinator endpoint to join",
-    )
-    parser.add_argument(
-        "--name", default="", help="worker name shown in status/telemetry"
-    )
-
-
-def _configure_campaign_submit(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "dir",
-        nargs="?",
-        default=None,
-        help="campaign directory whose advertised coordinator to use "
-        "(optional with --connect)",
-    )
-    parser.add_argument(
-        "--connect",
-        default=None,
-        metavar="HOST:PORT",
-        help="coordinator endpoint to submit to",
-    )
-    parser.add_argument(
-        "--keys",
-        default=None,
-        help="comma-separated run keys to enqueue (default: every pending "
-        "run in the plan)",
-    )
-    parser.add_argument(
-        "--wait",
-        type=float,
-        default=10.0,
-        help="seconds to keep retrying while the coordinator throttles "
-        "submissions (429)",
-    )
+    parser.add_argument("dir", help="campaign directory to inspect")
 
 
 def _configure_campaign_render(parser: argparse.ArgumentParser) -> None:
@@ -894,27 +715,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="render a paper figure from a campaign's (partial) results",
     )
     _configure_campaign_render(campaign_render)
-    campaign_serve = campaign_verbs.add_parser(
-        "serve",
-        help="drive a campaign over distributed workers (work-stealing "
-        "coordinator; local forks and/or remote `campaign worker` agents)",
-        parents=[
-            _machine_parent(),
-            execution,
-            _out_parent(None, "campaign directory (required)"),
-        ],
-    )
-    _configure_campaign_serve(campaign_serve)
-    campaign_worker = campaign_verbs.add_parser(
-        "worker",
-        help="join a running coordinator and execute leased runs",
-    )
-    _configure_campaign_worker(campaign_worker)
-    campaign_submit = campaign_verbs.add_parser(
-        "submit",
-        help="push pending runs into a running coordinator (rate-limited)",
-    )
-    _configure_campaign_submit(campaign_submit)
 
     return parser
 
@@ -1449,7 +1249,7 @@ def _parse_macs(value: str) -> Tuple[str, ...]:
 
 
 def _campaign_spec_from_args(args: argparse.Namespace, directory):
-    """Build a :class:`CampaignSpec` from ``campaign run/serve`` flags.
+    """Build a :class:`CampaignSpec` from ``campaign run`` flags.
 
     Prints a usage error and returns ``None`` when the flags are invalid
     (missing apps for generator sweeps, missing --trace-path for trace
@@ -1506,12 +1306,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     on-disk checkpoint formats and the resume-identity contract."""
     from pathlib import Path
 
-    from repro.harness.campaign import (
-        Campaign,
-        CampaignError,
-        CampaignSpec,
-        run_campaign,
-    )
+    from repro.harness.campaign import Campaign, CampaignError, run_campaign
     from repro.harness.supervisor import (
         RetryPolicy,
         SeededFaults,
@@ -1521,15 +1316,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
     try:
         if args.verb == "status":
-            code = _campaign_live_status(args)
-            if code is not None:
-                return code
-            if args.dir is None:
-                print(
-                    "campaign status requires DIR or --connect HOST:PORT",
-                    file=sys.stderr,
-                )
-                return 2
             print(Campaign.load(Path(args.dir)).status().render())
             return 0
 
@@ -1607,220 +1393,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         return 2
 
 
-def _campaign_live_status(args: argparse.Namespace) -> Optional[int]:
-    """Handle ``campaign status --connect/--live``.
-
-    Returns an exit code when a live query was requested (successful or
-    not), or ``None`` to fall through to the journal-based status.
-    """
-    from pathlib import Path
-
-    from repro.harness.distributed import (
-        coordinator_endpoint,
-        live_status,
-        render_live_status,
-    )
-    from repro.harness.protocol import ProtocolError, RpcError, parse_endpoint
-
-    endpoint = None
-    if args.connect:
-        try:
-            endpoint = parse_endpoint(args.connect)
-        except ValueError as error:
-            print(f"campaign status: {error}", file=sys.stderr)
-            return 2
-    elif args.live:
-        if args.dir is None:
-            print(
-                "campaign status --live requires DIR", file=sys.stderr
-            )
-            return 2
-        endpoint = coordinator_endpoint(Path(args.dir))
-        if endpoint is None:
-            print(
-                f"no coordinator advertised in {args.dir} (is `campaign "
-                "serve` running?)",
-                file=sys.stderr,
-            )
-            return 2
-    if endpoint is None:
-        return None
-    try:
-        print(render_live_status(live_status(*endpoint)))
-        return 0
-    except (OSError, ProtocolError, RpcError) as error:
-        print(
-            f"coordinator at {endpoint[0]}:{endpoint[1]} unreachable: "
-            f"{error}",
-            file=sys.stderr,
-        )
-        return 2
-
-
-def _cmd_campaign_serve(args: argparse.Namespace) -> int:
-    """``campaign serve`` — the distributed analogue of ``campaign run``:
-    an asyncio coordinator shards the plan, forks ``--workers`` local
-    agents, and accepts remote ``campaign worker`` joins on --host:--port.
-    """
-    from pathlib import Path
-
-    from repro.harness.campaign import CampaignError, CampaignSpec
-    from repro.harness.distributed import DistributedError, run_distributed
-    from repro.harness.resultstore import ResultStore
-    from repro.harness.supervisor import RetryPolicy
-    from repro.obs.campaign import CampaignTelemetry
-
-    if args.out is None:
-        print("campaign serve requires --out DIR", file=sys.stderr)
-        return 2
-    directory = Path(args.out)
-    spec = None
-    if args.apps or (args.sweep == "trace" and args.trace_path):
-        spec = _campaign_spec_from_args(args, directory)
-        if spec is None:
-            return 2
-
-    telemetry = CampaignTelemetry()
-    try:
-        report = run_distributed(
-            directory,
-            spec,
-            workers=args.workers,
-            shards=args.shards,
-            host=args.host,
-            port=args.port,
-            executor=Executor(
-                workers=1, use_cache=False if args.no_cache else None
-            ),
-            store=ResultStore(Path(args.store)) if args.store else None,
-            tenant=args.tenant,
-            retry=RetryPolicy(
-                max_attempts=args.retries, seed=args.backoff_seed
-            ),
-            lease_timeout=args.lease_timeout,
-            runner=args.runner,
-            runner_seconds=args.runner_seconds,
-            chaos_kill_after=args.chaos_kill_after,
-            timeout=args.timeout,
-            telemetry=telemetry,
-        )
-    except (CampaignError, DistributedError) as error:
-        print(f"campaign error: {error}", file=sys.stderr)
-        return 2
-    print(report.render())
-    print("telemetry:")
-    for line in telemetry.render_counters(indent="  "):
-        print(line)
-    if args.trace_out:
-        written = telemetry.write_chrome_trace(
-            args.trace_out, workers=report.workers
-        )
-        print(f"wrote campaign trace {written}")
-    return 0 if report.ok else 1
-
-
-def _cmd_campaign_worker(args: argparse.Namespace) -> int:
-    """``campaign worker`` — join a coordinator, lease/steal/execute until
-    the campaign drains, then exit."""
-    from repro.harness.distributed import WorkerAgent
-    from repro.harness.protocol import ProtocolError, RpcError, parse_endpoint
-
-    try:
-        host, port = parse_endpoint(args.connect)
-    except ValueError as error:
-        print(f"campaign worker: {error}", file=sys.stderr)
-        return 2
-    try:
-        completed = WorkerAgent(host, port, name=args.name).run()
-    except (OSError, ProtocolError, RpcError) as error:
-        print(
-            f"worker lost coordinator {host}:{port}: {error}",
-            file=sys.stderr,
-        )
-        return 2
-    print(f"worker drained: {completed} runs executed")
-    return 0
-
-
-def _cmd_campaign_submit(args: argparse.Namespace) -> int:
-    """``campaign submit`` — enqueue pending runs into a live coordinator,
-    respecting its token-bucket rate limit (retries on 429)."""
-    import time as _time
-    from pathlib import Path
-
-    from repro.harness.distributed import coordinator_endpoint
-    from repro.harness.protocol import (
-        ERR_THROTTLED,
-        ProtocolError,
-        RpcClient,
-        RpcError,
-        parse_endpoint,
-    )
-
-    if args.connect:
-        try:
-            endpoint = parse_endpoint(args.connect)
-        except ValueError as error:
-            print(f"campaign submit: {error}", file=sys.stderr)
-            return 2
-    elif args.dir is not None:
-        endpoint = coordinator_endpoint(Path(args.dir))
-        if endpoint is None:
-            print(
-                f"no coordinator advertised in {args.dir} (is `campaign "
-                "serve` running?)",
-                file=sys.stderr,
-            )
-            return 2
-    else:
-        print(
-            "campaign submit requires DIR or --connect HOST:PORT",
-            file=sys.stderr,
-        )
-        return 2
-
-    keys = (
-        [key.strip() for key in args.keys.split(",") if key.strip()]
-        if args.keys
-        else None
-    )
-    deadline = _time.monotonic() + max(0.0, args.wait)
-    throttled = 0
-    try:
-        with RpcClient(*endpoint) as client:
-            while True:
-                try:
-                    result = client.call("submit", keys=keys)
-                    break
-                except RpcError as error:
-                    if error.code != ERR_THROTTLED:
-                        raise
-                    throttled += 1
-                    if _time.monotonic() >= deadline:
-                        print(
-                            f"submit still throttled after {args.wait:.1f}s "
-                            f"({throttled} attempts): {error}",
-                            file=sys.stderr,
-                        )
-                        return 1
-                    _time.sleep(0.2)
-    except (OSError, ProtocolError, RpcError) as error:
-        print(
-            f"coordinator at {endpoint[0]}:{endpoint[1]} unreachable: "
-            f"{error}",
-            file=sys.stderr,
-        )
-        return 2
-    print(
-        f"submitted: {result.get('accepted', 0)} queued, "
-        f"{result.get('cache_hits', 0)} cache hits, "
-        f"{result.get('store_hits', 0)} store hits, "
-        f"{result.get('queued', 0)} now pending"
-        + (f" ({throttled} throttled retries)" if throttled else "")
-    )
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
@@ -1844,9 +1416,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         ("campaign", "resume"): _cmd_campaign,
         ("campaign", "status"): _cmd_campaign,
         ("campaign", "render"): _cmd_campaign,
-        ("campaign", "serve"): _cmd_campaign_serve,
-        ("campaign", "worker"): _cmd_campaign_worker,
-        ("campaign", "submit"): _cmd_campaign_submit,
     }
     try:
         return handlers[(args.command, args.verb)](args)

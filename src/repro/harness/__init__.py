@@ -57,17 +57,6 @@ _LAZY = {
     "CampaignSpec": ("repro.harness.campaign", "CampaignSpec"),
     "CampaignStatus": ("repro.harness.campaign", "CampaignStatus"),
     "run_campaign": ("repro.harness.campaign", "run_campaign"),
-    "Coordinator": ("repro.harness.distributed", "Coordinator"),
-    "DistributedError": ("repro.harness.distributed", "DistributedError"),
-    "DistributedReport": ("repro.harness.distributed", "DistributedReport"),
-    "TokenBucket": ("repro.harness.distributed", "TokenBucket"),
-    "WorkerAgent": ("repro.harness.distributed", "WorkerAgent"),
-    "run_distributed": ("repro.harness.distributed", "run_distributed"),
-    "RpcClient": ("repro.harness.protocol", "RpcClient"),
-    "RpcError": ("repro.harness.protocol", "RpcError"),
-    "ProtocolError": ("repro.harness.protocol", "ProtocolError"),
-    "ResultStore": ("repro.harness.resultstore", "ResultStore"),
-    "ResultStoreError": ("repro.harness.resultstore", "ResultStoreError"),
     "RetryPolicy": ("repro.harness.supervisor", "RetryPolicy"),
     "ScriptedFaults": ("repro.harness.supervisor", "ScriptedFaults"),
     "SeededFaults": ("repro.harness.supervisor", "SeededFaults"),
@@ -81,27 +70,16 @@ __all__ = [
     "CampaignResultSource",
     "CampaignSpec",
     "CampaignStatus",
-    "Coordinator",
-    "DistributedError",
-    "DistributedReport",
     "Executor",
     "ExperimentPlan",
-    "ProtocolError",
-    "ResultStore",
-    "ResultStoreError",
     "RetryPolicy",
-    "RpcClient",
-    "RpcError",
     "RunRequest",
     "ScriptedFaults",
     "SeededFaults",
     "SimulationResult",
-    "TokenBucket",
-    "WorkerAgent",
     "WorkerSupervisor",
     "default_executor",
     "run_campaign",
-    "run_distributed",
     "run_key",
     "generate_report",
     "load_results",

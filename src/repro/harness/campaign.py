@@ -59,7 +59,6 @@ from repro.harness.ioutils import (
     iter_stale_tmp,
     quarantine,
     read_jsonl,
-    read_jsonl_many,
 )
 from repro.harness.runner import SimulationResult
 from repro.harness.supervisor import RetryPolicy, WorkerSupervisor
@@ -72,10 +71,6 @@ CHECKPOINT_SCHEMA_VERSION = 1
 
 MANIFEST_NAME = "campaign.json"
 JOURNAL_NAME = "journal.jsonl"
-#: Distributed shards journal independently (one writer per file, same
-#: record schema); replay merges ``journal.jsonl`` + every shard journal.
-SHARD_JOURNAL_PREFIX = "journal-shard"
-SHARD_JOURNAL_GLOB = "journal-shard*.jsonl"
 RUNS_DIR = "runs"
 RESULTS_NAME = "results.json"
 DIGEST_NAME = "digest.txt"
@@ -226,9 +221,8 @@ class CampaignSpec:
 
         Shard boundaries come from the barrier-safe planner over the
         trace's footer index — a pure function of the file and
-        ``trace_shards`` — so a resumed (or distributed) campaign
-        recomputes the identical matrix. The per-shard runs are replayed
-        cold and merge via
+        ``trace_shards`` — so a resumed campaign recomputes the identical
+        matrix. The per-shard runs are replayed cold and merge via
         :func:`repro.traces.sharding.merge_window_results`.
         """
         from repro.traces.format import TraceReader
@@ -451,16 +445,6 @@ class Campaign:
     def journal_path(self) -> Path:
         return self.directory / JOURNAL_NAME
 
-    def shard_journal_path(self, shard: int) -> Path:
-        """Journal for one distributed shard (single-writer: the coordinator)."""
-        return self.directory / f"{SHARD_JOURNAL_PREFIX}{shard}.jsonl"
-
-    def journal_paths(self) -> List[Path]:
-        """Every journal replay reads: the main one, then shards sorted."""
-        paths = [self.journal_path]
-        paths.extend(sorted(self.directory.glob(SHARD_JOURNAL_GLOB)))
-        return paths
-
     @property
     def runs_dir(self) -> Path:
         return self.directory / RUNS_DIR
@@ -578,13 +562,8 @@ class Campaign:
         completed run keys to their canonical payloads (verified readable —
         a journal entry whose payload file is missing or corrupt is
         *demoted* back to pending, with the corrupt file quarantined).
-
-        Distributed campaigns journal per shard; every journal (main +
-        ``journal-shard*.jsonl``) feeds one merged replay, so a single-box
-        ``campaign resume`` can finish a half-done distributed run and
-        vice versa.
         """
-        records, bad_lines = read_jsonl_many(self.journal_paths())
+        records, bad_lines = read_jsonl(self.journal_path)
         payloads: Dict[str, Dict] = {}
         expected = set(self.keys)
         for record in records:
@@ -614,75 +593,6 @@ class Campaign:
         """key -> canonical payload for every durably completed run."""
         payloads, _, _ = self._replay_journal()
         return payloads
-
-    # ------------------------------------------------- distributed surface
-
-    def record_completion(
-        self,
-        key: str,
-        payload: Dict,
-        source: str,
-        attempts: int,
-        shard: Optional[int] = None,
-    ) -> None:
-        """Durably complete one run, optionally into a shard journal.
-
-        Order is the crash-safety contract shared with :meth:`run`: the
-        payload lands atomically in ``runs/`` *before* the journal says
-        "ok", so a kill between the two re-runs the simulation instead of
-        trusting a phantom completion.
-        """
-        atomic_write_json(self._payload_path(key), payload)
-        journal = (
-            self.journal_path if shard is None
-            else self.shard_journal_path(shard)
-        )
-        append_jsonl(
-            journal,
-            {
-                "type": "run",
-                "schema": CHECKPOINT_SCHEMA_VERSION,
-                "key": key,
-                "status": "ok",
-                "source": source,
-                "attempts": attempts,
-            },
-        )
-
-    def record_failure(
-        self,
-        key: str,
-        detail: str,
-        attempts: int,
-        shard: Optional[int] = None,
-    ) -> None:
-        """Journal terminal retry exhaustion for one run."""
-        journal = (
-            self.journal_path if shard is None
-            else self.shard_journal_path(shard)
-        )
-        append_jsonl(
-            journal,
-            {
-                "type": "run",
-                "schema": CHECKPOINT_SCHEMA_VERSION,
-                "key": key,
-                "status": "failed",
-                "attempts": attempts,
-                "detail": detail,
-            },
-        )
-
-    def finalize(
-        self, payloads: Dict[str, Dict], failed: List[Dict]
-    ) -> str:
-        """(Re)write the aggregate artifacts; returns the sha256 digest.
-
-        Public alias of the aggregate writer for coordinators that merge
-        shard journals themselves — same pure function of the payloads,
-        so a distributed merge is byte-identical to a single-box run.
-        """
-        return self._write_aggregate(payloads, failed)
 
     # ----------------------------------------------------------- execution
 

@@ -122,25 +122,6 @@ def read_jsonl(path: Union[str, Path]) -> Tuple[List[Dict], List[int]]:
     return records, bad
 
 
-def read_jsonl_many(
-    paths: Iterator[Union[str, Path]],
-) -> Tuple[List[Dict], List[int]]:
-    """Concatenated replay of several journals (main + shard journals).
-
-    Records keep per-file order, files keep the order given; bad line
-    numbers are aggregated across files. Missing files read as empty, so
-    a single-box campaign (no shard journals) and a distributed one share
-    one replay path.
-    """
-    records: List[Dict] = []
-    bad: List[int] = []
-    for path in paths:
-        file_records, file_bad = read_jsonl(path)
-        records.extend(file_records)
-        bad.extend(file_bad)
-    return records, bad
-
-
 def quarantine(path: Union[str, Path]) -> Path:
     """Move an unreadable file aside; returns the quarantine path.
 

@@ -1,16 +1,23 @@
 """Supervised worker pool with timeouts, heartbeats, and seeded retries.
 
-The PR-1 :class:`~repro.harness.executor.Executor` fans simulations out
-over a plain ``multiprocessing.Pool`` — fine for interactive figure runs,
-fatal for multi-hour campaigns: one worker crash, OOM kill, or hang takes
-the whole sweep with it. This module supplies the fault-tolerant execution
+The :class:`~repro.harness.executor.Executor` fans simulations out over a
+plain ``multiprocessing.Pool`` — fine for interactive figure runs, fatal
+for multi-hour campaigns: one worker crash, OOM kill, or hang takes the
+whole sweep with it. This module supplies the fault-tolerant execution
 layer the campaign runner (:mod:`repro.harness.campaign`) sits on:
 
-* every run executes in its **own** child process, so a crash is an
-  isolated, observable event instead of a poisoned pool;
-* children emit **heartbeats** on a pipe; the supervisor distinguishes a
-  *crashed* worker (process died), a *timed-out* worker (wall-clock budget
-  exceeded while still beating), and a *hung* worker (alive but silent);
+* each worker slot is one **long-lived** child process that serves
+  ``(request, fault)`` messages over a duplex pipe until it is sent
+  ``None``. Reuse keeps what a child loaded (numpy, the trace memo) warm
+  across runs. A run that ends ``ok`` or ``err`` returns its child to the
+  idle pool; a crashed, hung, stalled or timed-out child is reaped, and
+  the next launch forks a fresh one, so a fault stays isolated to the
+  run that hit it. A child whose supervisor dies exits on its own;
+* children emit **heartbeats** on the same pipe while a run executes; the
+  supervisor distinguishes a *crashed* worker (process died), a
+  *timed-out* worker (wall-clock budget exceeded while still beating),
+  and a *hung* worker (alive but silent). Every send a child makes holds
+  one lock, so a beat never lands inside a large result frame;
 * failed runs are **retried** with seeded exponential backoff. The backoff
   engine is literally the protocol's own
   :class:`~repro.wireless.mac.BackoffPolicy` — the BRS MAC discipline the
@@ -29,6 +36,7 @@ the retry ladder heals them.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -183,8 +191,7 @@ def replay_sys_paths(paths: List[str]) -> None:
     """Replay the parent's ``sys.path`` into a child process.
 
     Fork inherits the path, spawn does not; replaying makes both work when
-    the repo runs uninstalled via ``PYTHONPATH=src``. Shared by supervisor
-    children and the distributed worker agents.
+    the repo runs uninstalled via ``PYTHONPATH=src``.
     """
     import sys
 
@@ -199,14 +206,11 @@ def start_heartbeat_thread(
 ) -> Callable[[], None]:
     """Run ``beat`` every ``interval`` seconds on a daemon thread.
 
-    Returns a stopper. ``beat`` raising stops the loop silently — a dead
-    transport (closed pipe / dropped socket) means the listener already
-    treats this process as gone, so there is nobody left to tell. Shared
-    by supervisor children (pipe heartbeats) and distributed worker agents
-    (RPC heartbeats over a dedicated connection).
+    Returns a stopper that also joins the thread, so no beat is sent after
+    it returns. ``beat`` raising stops the loop silently — a closed pipe
+    means the supervisor already treats this process as gone, so there
+    is nobody left to tell.
     """
-    import threading
-
     stop = threading.Event()
 
     def loop() -> None:
@@ -216,47 +220,92 @@ def start_heartbeat_thread(
             except Exception:  # noqa: BLE001 - transport gone: listener too
                 return
 
-    if interval > 0:
-        threading.Thread(target=loop, daemon=True).start()
-    return stop.set
+    if interval <= 0:
+        return stop.set
+    thread = threading.Thread(target=loop, daemon=True)
+    thread.start()
+
+    def stopper() -> None:
+        stop.set()
+        thread.join()
+
+    return stopper
+
+
+def _exit_with_parent(parent_pid: int, interval: float = 0.5) -> None:
+    """Exit this process soon after ``parent_pid`` stops being its parent.
+
+    The pipe cannot tell a child that its supervisor died: forked siblings
+    keep copies of the supervisor's pipe ends, so ``recv`` never sees EOF
+    and a large ``send`` can block for good. A SIGKILLed campaign would
+    leave its children running forever.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(interval)
+        os._exit(0)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 def _worker_main(
     conn,
-    request: RunRequest,
-    fault: Optional[str],
     heartbeat_interval: float,
     sys_paths: List[str],
+    parent_pid: int,
 ) -> None:  # pragma: no cover - child process
-    """Child entry: heartbeat thread + one simulation (or injected fault)."""
+    """Child entry: serve ``(request, fault)`` jobs until sent ``None``.
+
+    Each job runs one simulation (or injected fault) under a heartbeat
+    thread and answers ``("ok", payload, elapsed)`` or ``("err", detail)``.
+    The heartbeat thread and this loop share ``conn``; one lock around
+    every send keeps their frames whole (a payload over 16 KiB is written
+    as a header and a body, and a beat between the two corrupts both).
+    """
     replay_sys_paths(sys_paths)
+    _exit_with_parent(parent_pid)
+    send_lock = threading.Lock()
 
-    if fault == "crash":
-        os._exit(CRASH_EXIT_CODE)
-
-    # A "stall" fault suppresses heartbeats entirely: the supervisor must
-    # detect the silence, not the (never-arriving) result.
-    stop_heartbeat = start_heartbeat_thread(
-        lambda: conn.send(("hb", time.monotonic())),
-        heartbeat_interval if fault != "stall" else 0.0,
-    )
+    def send(message) -> None:
+        with send_lock:
+            conn.send(message)
 
     try:
-        if fault in ("hang", "stall"):
-            time.sleep(3600.0)  # killed by the supervisor
-            return
-        if fault == "error":
-            conn.send(("err", "injected worker error"))
-            return
-        payload, elapsed = _simulate(request)
-        conn.send(("ok", payload, elapsed))
-    except BaseException as exc:  # noqa: BLE001 - report, don't die silently
-        try:
-            conn.send(("err", f"{type(exc).__name__}: {exc}"))
-        except OSError:
-            pass
+        while True:
+            try:
+                job = conn.recv()
+            except (EOFError, OSError):
+                return  # supervisor gone
+            if job is None:
+                return
+            request, fault = job
+            if fault == "crash":
+                os._exit(CRASH_EXIT_CODE)
+            stop_heartbeat = start_heartbeat_thread(
+                lambda: send(("hb", time.monotonic())), heartbeat_interval
+            )
+            try:
+                if fault == "stall":
+                    # Silence, not a missing result, is what the
+                    # supervisor must detect.
+                    stop_heartbeat()
+                if fault in ("hang", "stall"):
+                    time.sleep(3600.0)  # killed by the supervisor
+                if fault == "error":
+                    reply = ("err", "injected worker error")
+                else:
+                    payload, elapsed = _simulate(request)
+                    reply = ("ok", payload, elapsed)
+            except Exception as exc:  # noqa: BLE001 - report, don't die
+                reply = ("err", f"{type(exc).__name__}: {exc}")
+            finally:
+                stop_heartbeat()
+            try:
+                send(reply)
+            except OSError:
+                return
     finally:
-        stop_heartbeat()
         try:
             conn.close()
         except OSError:
@@ -303,12 +352,19 @@ class _Pending:
 
 
 @dataclass
+class _Child:
+    """One long-lived worker process and the parent's end of its pipe."""
+
+    process: object
+    conn: object
+
+
+@dataclass
 class _Active:
     key: str
     request: RunRequest
     attempt: int
-    process: object
-    conn: object
+    child: _Child
     started: float
     last_beat: float
 
@@ -322,7 +378,8 @@ class WorkerSupervisor:
     Parameters
     ----------
     workers:
-        Maximum concurrently live child processes.
+        Maximum concurrently live child processes. Each child serves runs
+        one after another until :meth:`run` returns or a fault reaps it.
     timeout:
         Per-attempt wall-clock budget in seconds (``None`` = unlimited).
     heartbeat_interval:
@@ -338,7 +395,8 @@ class WorkerSupervisor:
     on_event:
         Optional callback receiving progress dicts (``launch``, ``ok``,
         ``retry``, ``giveup``) — the campaign layer journals these and
-        feeds the observability counters.
+        feeds the observability counters. ``launch`` names the serving
+        child's ``pid``.
     """
 
     def __init__(
@@ -379,24 +437,35 @@ class WorkerSupervisor:
         except ValueError:  # pragma: no cover - non-POSIX fallback
             return multiprocessing.get_context()
 
-    def _launch(self, ctx, item: _Pending) -> _Active:
+    def _fork(self, ctx) -> _Child:
         import sys
 
-        fault = self.faults(item.key, item.attempt) if self.faults else None
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
+        parent_conn, child_conn = ctx.Pipe(duplex=True)
         process = ctx.Process(
             target=_worker_main,
             args=(
                 child_conn,
-                item.request,
-                fault,
                 self.heartbeat_interval,
                 list(sys.path),
+                os.getpid(),
             ),
             daemon=True,
         )
         process.start()
         child_conn.close()
+        return _Child(process, parent_conn)
+
+    def _launch(self, ctx, item: _Pending, idle: List[_Child]) -> _Active:
+        """Hand ``item`` to an idle child, forking one if none is idle."""
+        fault = self.faults(item.key, item.attempt) if self.faults else None
+        job = (item.request, fault)
+        child = idle.pop() if idle else self._fork(ctx)
+        try:
+            child.conn.send(job)
+        except OSError:  # the idle child died since its last run
+            self._reap(child)
+            child = self._fork(ctx)
+            child.conn.send(job)
         now = time.monotonic()
         self._emit(
             {
@@ -404,22 +473,22 @@ class WorkerSupervisor:
                 "key": item.key,
                 "attempt": item.attempt,
                 "fault": fault,
+                "pid": child.process.pid,
             }
         )
         return _Active(
             key=item.key,
             request=item.request,
             attempt=item.attempt,
-            process=process,
-            conn=parent_conn,
+            child=child,
             started=now,
             last_beat=now,
         )
 
     @staticmethod
-    def _reap(active: _Active) -> None:
+    def _reap(child: _Child) -> None:
         """Kill (if needed) and join a child, closing its pipe."""
-        process = active.process
+        process = child.process
         if process.is_alive():
             process.terminate()
             process.join(0.5)
@@ -427,9 +496,20 @@ class WorkerSupervisor:
             process.kill()
             process.join(0.5)
         try:
-            active.conn.close()
+            child.conn.close()
         except OSError:
             pass
+
+    def _shutdown(self, idle: List[_Child]) -> None:
+        """Tell every idle child to exit, then reap any that linger."""
+        for child in idle:
+            try:
+                child.conn.send(None)
+            except OSError:
+                pass
+        for child in idle:
+            child.process.join(1.0)
+            self._reap(child)
 
     # ------------------------------------------------------------ main loop
 
@@ -440,18 +520,33 @@ class WorkerSupervisor:
 
         Never raises for worker-side faults: every run ends ``ok`` (with a
         canonical payload) or ``failed`` (with its attempt history), and
-        the caller decides how to degrade.
+        the caller decides how to degrade. Every child is stopped before
+        this returns.
         """
+        ctx = self._context()
+        idle: List[_Child] = []
+        active: Dict[int, _Active] = {}
+        try:
+            return self._supervise(ctx, todo, idle, active)
+        finally:
+            for run in active.values():
+                self._reap(run.child)
+            self._shutdown(idle)
+
+    def _supervise(
+        self,
+        ctx,
+        todo: List[Tuple[str, RunRequest]],
+        idle: List[_Child],
+        active: Dict[int, _Active],
+    ) -> Dict[str, RunOutcome]:
         from multiprocessing import connection as mp_connection
 
-        ctx = self._context()
         outcomes: Dict[str, RunOutcome] = {}
         history: Dict[str, List[AttemptRecord]] = {key: [] for key, _ in todo}
         pending = deque(
             _Pending(key, request, 1, 0.0) for key, request in todo
         )
-
-        active: Dict[int, _Active] = {}
 
         def finish_ok(run: _Active, payload: Dict, elapsed: float) -> None:
             history[run.key].append(
@@ -517,6 +612,12 @@ class WorkerSupervisor:
                 }
             )
 
+        def fail(pid: int, status: str, detail: str) -> None:
+            """A faulted attempt: its child is reaped, never reused."""
+            run = active.pop(pid)
+            self._reap(run.child)
+            finish_failure(run, status, detail)
+
         while pending or active:
             now = time.monotonic()
 
@@ -528,8 +629,8 @@ class WorkerSupervisor:
                     if item.ready_at > now:
                         still_waiting.append(item)
                         continue
-                    run = self._launch(ctx, item)
-                    active[run.process.pid] = run
+                    run = self._launch(ctx, item, idle)
+                    active[run.child.process.pid] = run
                 pending.extendleft(reversed(still_waiting))
 
             if not active:
@@ -540,82 +641,61 @@ class WorkerSupervisor:
 
             # Wait for messages from any child (bounded poll so timeout and
             # heartbeat checks still run when everyone is silent).
-            conns = {id(run.conn): run for run in active.values()}
+            by_conn = {id(run.child.conn): pid for pid, run in active.items()}
             try:
                 ready = mp_connection.wait(
-                    [run.conn for run in active.values()],
+                    [run.child.conn for run in active.values()],
                     timeout=self.poll_interval,
                 )
             except OSError:  # pragma: no cover - racing child death
                 ready = []
 
-            finished: List[int] = []
             for conn in ready:
-                run = conns[id(conn)]
+                pid = by_conn[id(conn)]
+                run = active[pid]
                 try:
                     message = conn.recv()
                 except (EOFError, OSError):
                     # Pipe closed without a result: the child crashed.
-                    run.process.join(0.5)
-                    code = run.process.exitcode
-                    self._reap(run)
-                    finished.append(run.process.pid)
-                    finish_failure(
-                        run, "crashed", f"worker exited with code {code}"
-                    )
+                    run.child.process.join(0.5)
+                    code = run.child.process.exitcode
+                    fail(pid, "crashed", f"worker exited with code {code}")
                     continue
                 kind = message[0]
                 if kind == "hb":
                     run.last_beat = time.monotonic()
                 elif kind == "ok":
-                    self._reap(run)
-                    finished.append(run.process.pid)
+                    idle.append(active.pop(pid).child)
                     finish_ok(run, message[1], message[2])
                 elif kind == "err":
-                    self._reap(run)
-                    finished.append(run.process.pid)
+                    idle.append(active.pop(pid).child)
                     finish_failure(run, "error", message[1])
-            for pid in finished:
-                active.pop(pid, None)
 
             # Enforce wall-clock and heartbeat budgets on the survivors.
             now = time.monotonic()
-            stalled: List[int] = []
-            for pid, run in active.items():
-                if not run.process.is_alive() and not run.conn.poll():
-                    code = run.process.exitcode
-                    self._reap(run)
-                    stalled.append(pid)
-                    finish_failure(
-                        run, "crashed", f"worker exited with code {code}"
+            for pid, run in list(active.items()):
+                process = run.child.process
+                if not process.is_alive() and not run.child.conn.poll():
+                    fail(
+                        pid, "crashed",
+                        f"worker exited with code {process.exitcode}",
                     )
-                    continue
-                if (
+                elif (
                     self.timeout is not None
                     and now - run.started > self.timeout
                 ):
-                    self._reap(run)
-                    stalled.append(pid)
-                    finish_failure(
-                        run,
-                        "timeout",
+                    fail(
+                        pid, "timeout",
                         f"exceeded {self.timeout:.1f}s wall-clock budget",
                     )
-                    continue
-                if (
+                elif (
                     self.heartbeat_interval > 0
                     and now - run.last_beat
                     > self.heartbeat_interval * self.heartbeat_grace
                 ):
-                    self._reap(run)
-                    stalled.append(pid)
-                    finish_failure(
-                        run,
-                        "hung",
-                        "no heartbeat for "
-                        f"{now - run.last_beat:.2f}s",
+                    fail(
+                        pid, "hung",
+                        f"no heartbeat for {now - run.last_beat:.2f}s",
                     )
-            for pid in stalled:
-                active.pop(pid, None)
 
         return outcomes

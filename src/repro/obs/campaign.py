@@ -26,15 +26,12 @@ from typing import Dict, List, Optional, Union
 #: Schema tag embedded in exported campaign traces.
 CAMPAIGN_TRACE_SCHEMA = 1
 
-#: Counter names, in rendering order. The ``leases.*`` / ``workers.*`` /
-#: ``submits.*`` block is fed by the distributed coordinator
-#: (:mod:`repro.harness.distributed`); single-box campaigns leave it zero.
+#: Counter names, in rendering order.
 COUNTERS = (
     "runs.total",
     "runs.completed",
     "runs.failed",
     "runs.cache_hits",
-    "runs.store_hits",
     "runs.resumed",
     "attempts.launched",
     "attempts.ok",
@@ -44,13 +41,6 @@ COUNTERS = (
     "retries.hung",
     "retries.error",
     "giveups.total",
-    "leases.granted",
-    "leases.stolen",
-    "requeues.total",
-    "workers.joined",
-    "workers.lost",
-    "submits.accepted",
-    "submits.throttled",
 )
 
 
@@ -68,8 +58,6 @@ class CampaignTelemetry:
         self._open: Dict[str, Dict] = {}
         #: Progress samples for the counter track: (t, completed).
         self._progress: List[tuple] = []
-        #: Coordinator queue-depth samples: (t, depth).
-        self._queue_depth: List[tuple] = []
 
     # ------------------------------------------------------------- feeding
 
@@ -122,43 +110,11 @@ class CampaignTelemetry:
             self._bump("runs.cache_hits")
             self._bump("runs.completed")
             self._progress.append((now, self.counters["runs.completed"]))
-        elif kind == "store-hit":
-            self._bump("runs.store_hits")
-            self._bump("runs.completed")
-            self._progress.append((now, self.counters["runs.completed"]))
         elif kind == "resume-skip":
             self._bump("runs.resumed")
             self._bump("runs.completed")
         elif kind == "plan":
             self._bump("runs.total", int(event.get("total", 0)))
-        elif kind == "lease":
-            # The distributed analogue of "launch": opens the attempt span,
-            # attributed to the granted worker so the chrome export renders
-            # one lane per worker.
-            self._bump("leases.granted")
-            if event.get("stolen"):
-                self._bump("leases.stolen")
-            self._open[event["key"]] = {
-                "key": event["key"],
-                "attempt": event.get("attempt", 1),
-                "worker": event.get("worker"),
-                "shard": event.get("shard"),
-                "stolen": bool(event.get("stolen")),
-                "fault": None,
-                "t0": now,
-            }
-        elif kind == "requeue":
-            self._bump("requeues.total")
-        elif kind == "worker-join":
-            self._bump("workers.joined")
-        elif kind == "worker-lost":
-            self._bump("workers.lost")
-        elif kind == "submit":
-            self._bump("submits.accepted", int(event.get("accepted", 0)))
-        elif kind == "submit-throttled":
-            self._bump("submits.throttled")
-        elif kind == "queue-depth":
-            self._queue_depth.append((now, int(event.get("depth", 0))))
 
     # ----------------------------------------------------------- reporting
 
@@ -190,12 +146,9 @@ class CampaignTelemetry:
     def to_chrome_trace(self, workers: int = 0) -> Dict:
         """Export attempt spans as a Chrome Trace Event JSON object.
 
-        Each span becomes a complete (``ph: "X"``) slice. Spans carrying a
-        ``worker`` attribution (distributed lease spans) get one stable,
-        named lane per worker; the rest are packed greedily onto anonymous
-        lanes so concurrent attempts render side by side. Run completion
-        is emitted as a ``campaign.completed`` counter track, and
-        coordinator queue-depth samples as ``campaign.queue_depth``.
+        Each span becomes a complete (``ph: "X"``) slice, packed greedily
+        onto lanes so concurrent attempts render side by side. Run
+        completion is emitted as a ``campaign.completed`` counter track.
         """
         events: List[Dict] = [
             {
@@ -206,28 +159,7 @@ class CampaignTelemetry:
                 "args": {"name": "campaign"},
             }
         ]
-        worker_ids = sorted(
-            {
-                span["worker"]
-                for span in self.spans
-                if span.get("worker") is not None
-            }
-        )
-        worker_lane = {
-            worker: index + 1 for index, worker in enumerate(worker_ids)
-        }
-        for worker, tid in worker_lane.items():
-            events.append(
-                {
-                    "ph": "M",
-                    "pid": 1,
-                    "tid": tid,
-                    "name": "thread_name",
-                    "args": {"name": f"worker {worker}"},
-                }
-            )
-        lanes: List[float] = []  # end time per anonymous lane
-        lane_base = len(worker_ids)
+        lanes: List[float] = []  # end time per lane
 
         def lane_for(t0: float) -> int:
             for index, busy_until in enumerate(lanes):
@@ -238,46 +170,25 @@ class CampaignTelemetry:
             return len(lanes) - 1
 
         for span in sorted(self.spans, key=lambda s: s["t0"]):
-            worker = span.get("worker")
-            if worker is not None:
-                tid = worker_lane[worker]
-            else:
-                lane = lane_for(span["t0"])
-                lanes[lane] = span["t1"]
-                tid = lane_base + lane + 1
-            args = {
-                "status": span["status"],
-                "attempt": span["attempt"],
-                "fault": span.get("fault"),
-                "detail": span.get("detail", ""),
-            }
-            if worker is not None:
-                args["worker"] = worker
-                args["shard"] = span.get("shard")
-                args["stolen"] = span.get("stolen", False)
+            lane = lane_for(span["t0"])
+            lanes[lane] = span["t1"]
             events.append(
                 {
                     "ph": "X",
                     "pid": 1,
-                    "tid": tid,
+                    "tid": lane + 1,
                     "cat": "campaign",
                     "name": f"{span['key'][:12]}#{span['attempt']}",
                     "ts": round(span["t0"] * 1e6, 3),
                     "dur": round(
                         max(0.0, span["t1"] - span["t0"]) * 1e6, 3
                     ),
-                    "args": args,
-                }
-            )
-        for timestamp, depth in self._queue_depth:
-            events.append(
-                {
-                    "ph": "C",
-                    "pid": 1,
-                    "tid": 0,
-                    "name": "campaign.queue_depth",
-                    "ts": round(timestamp * 1e6, 3),
-                    "args": {"depth": depth},
+                    "args": {
+                        "status": span["status"],
+                        "attempt": span["attempt"],
+                        "fault": span.get("fault"),
+                        "detail": span.get("detail", ""),
+                    },
                 }
             )
         for timestamp, completed in self._progress:

@@ -28,8 +28,8 @@ transient artifact of the synthetic generators:
 
 :mod:`repro.traces.sharding`
     Barrier-safe trace-segment windows so campaigns can fan one large
-    trace across distributed workers by chunk range, with a
-    deterministic merge identical to a single-box windowed replay.
+    trace across local workers by chunk range, with a deterministic merge
+    identical to a single-process windowed replay.
 
 See docs/TRACES.md for the format specification and the replay/resume
 contracts.

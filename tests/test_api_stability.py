@@ -4,7 +4,8 @@ The contract (docs/API.md): every name in ``repro.api.__all__`` keeps its
 signature across minor releases, results are typed objects, importing the
 facade stays cheap (no verification/observability/campaign machinery at
 module load), and the top-level ``repro`` namespace lists only the stable
-names (the 1.1 ``run_app``/``run_pair`` shims were removed in 1.2).
+names (the 1.1 ``run_app``/``run_pair`` shims were removed in 1.2, and
+the distributed coordinator surface in 1.3).
 """
 
 import inspect
@@ -42,12 +43,6 @@ EXPECTED_SIGNATURES = {
         "seed", "trace_seed", "workers", "cache", "timeout", "retries",
         "backoff_seed", "resume", "protocols", "trace_path", "trace_shards",
         "macs",
-    ),
-    "distributed_campaign": (
-        "name", "apps", "out", "kind", "cores", "thresholds", "memops",
-        "seed", "trace_seed", "workers", "shards", "host", "port", "cache",
-        "store", "tenant", "retries", "backoff_seed", "lease_timeout",
-        "timeout", "protocols", "trace_path", "trace_shards", "macs",
     ),
     "verify": (
         "campaign", "seed", "trials", "litmus", "litmus_schedules",
@@ -95,8 +90,6 @@ class TestSurface:
             ("campaign", "apps"),
             ("campaign", "out"),
             ("convert_trace", "out"),
-            ("distributed_campaign", "apps"),
-            ("distributed_campaign", "out"),
             ("record_trace", "out"),
         }
         params = list(inspect.signature(getattr(api, name)).parameters.values())
@@ -119,8 +112,6 @@ class TestSurface:
             "import sys; import repro.api; "
             "heavy = [m for m in ('repro.verify.fuzz', 'repro.verify.litmus', "
             "'repro.harness.campaign', 'repro.harness.supervisor', "
-            "'repro.harness.distributed', 'repro.harness.protocol', "
-            "'repro.harness.resultstore', "
             "'repro.obs.export') if m in sys.modules]; "
             "assert not heavy, heavy"
         )
@@ -143,6 +134,32 @@ class TestSurface:
         for name in ("definitely_not_a_thing", "run_app", "run_pair"):
             with pytest.raises(AttributeError):
                 getattr(repro, name)
+
+    def test_coordinator_surface_removed_in_1_3(self):
+        """The TCP coordinator, its wire protocol and the result store
+        were removed in 1.3 (docs/API.md, "Removed in 1.3")."""
+        import importlib
+
+        import repro.harness as harness
+
+        assert repro.__version__ == "1.3.0"
+        assert not hasattr(api, "distributed_campaign")
+        for name in (
+            "Coordinator", "DistributedError", "DistributedReport",
+            "ProtocolError", "ResultStore", "ResultStoreError", "RpcClient",
+            "RpcError", "TokenBucket", "WorkerAgent", "run_distributed",
+        ):
+            assert not hasattr(harness, name), name
+        for module in ("distributed", "protocol", "resultstore"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(f"repro.harness.{module}")
+
+    def test_executor_accepts_only_store_none(self):
+        from repro.harness.executor import Executor
+
+        Executor(workers=1, use_cache=False, store=None)
+        with pytest.raises(TypeError):
+            Executor(workers=1, use_cache=False, store=object())
 
     def test_dir_lists_the_stable_surface(self):
         listing = dir(repro)

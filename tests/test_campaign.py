@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.harness import supervisor as supervisor_module
 from repro.harness.campaign import (
     CHECKPOINT_SCHEMA_VERSION,
     Campaign,
@@ -274,6 +275,140 @@ class TestSupervisor:
         for key, request in todo:
             expected, _ = _simulate(request)
             assert outcomes[key].payload == expected
+
+
+    def test_large_results_survive_fast_heartbeats(self, monkeypatch):
+        """A result over 16 KiB goes out as a header write and a body
+        write; a heartbeat sent between the two used to corrupt the pipe
+        stream, and ``run`` raised instead of retrying."""
+        blob = "x" * 1_000_000
+
+        def fake_simulate(request):
+            time.sleep(0.002)
+            return {"blob": blob}, 0.0
+
+        monkeypatch.setattr(supervisor_module, "_simulate", fake_simulate)
+        request = _todo(_spec())[0][1]
+        todo = [(f"k{i:02d}", request) for i in range(20)]
+        # A 5 s silence window: under load a beat may lag, and this test
+        # is about frame integrity, not hang detection.
+        outcomes = _supervisor(
+            heartbeat_interval=0.0005, heartbeat_grace=10_000
+        ).run(todo)
+        assert len(outcomes) == len(todo)
+        for outcome in outcomes.values():
+            assert outcome.ok and outcome.attempts == 1
+            assert outcome.payload["blob"] == blob
+
+
+class TestChildReuse:
+    """Each slot is one long-lived child: fault-free and ``err`` runs keep
+    it, a crashed, hung, stalled or timed-out child is replaced."""
+
+    #: Enough 20 ms runs that the survivor is still busy when a fault is
+    #: detected, so the next launch has to fork the replacement.
+    RUNS = 24
+
+    @pytest.fixture(autouse=True)
+    def _fake_simulate(self, monkeypatch):
+        def fake_simulate(request):
+            time.sleep(0.02)
+            return {"pid": os.getpid()}, 0.0
+
+        monkeypatch.setattr(supervisor_module, "_simulate", fake_simulate)
+
+    def _run(self, faults=None, **overrides):
+        events = []
+        request = _todo(_spec())[0][1]
+        todo = [(f"k{i:02d}", request) for i in range(self.RUNS)]
+        outcomes = _supervisor(
+            faults=faults, on_event=events.append, **overrides
+        ).run(todo)
+        assert all(o.ok for o in outcomes.values())
+        launches = [e["pid"] for e in events if e["event"] == "launch"]
+        return outcomes, launches
+
+    def test_fault_free_runs_use_one_child_per_slot(self):
+        outcomes, launches = self._run()
+        assert len(launches) == self.RUNS
+        assert len(set(launches)) == 2
+        assert {o.payload["pid"] for o in outcomes.values()} == set(launches)
+
+    def test_err_result_keeps_its_child(self):
+        outcomes, launches = self._run(
+            faults=ScriptedFaults({("k00", 1): "error"})
+        )
+        assert outcomes["k00"].history[0].status == "error"
+        assert len(launches) == self.RUNS + 1
+        assert len(set(launches)) == 2
+
+    @pytest.mark.parametrize(
+        "fault, overrides, status",
+        [
+            ("crash", {}, "crashed"),
+            ("hang", {"timeout": 0.2}, "timeout"),
+            ("stall", {"heartbeat_grace": 4.0}, "hung"),
+        ],
+    )
+    def test_faulted_child_is_replaced_other_slot_kept(
+        self, fault, overrides, status
+    ):
+        outcomes, launches = self._run(
+            faults=ScriptedFaults({("k00", 1): fault}), **overrides
+        )
+        assert outcomes["k00"].history[0].status == status
+        # k00 goes first to one fresh child, k01 to the other.
+        victim, survivor, later = launches[0], launches[1], launches[2:]
+        assert victim not in later
+        assert survivor in later
+        assert len(set(launches)) == 3
+
+
+class TestOrphanedChildren:
+    """A long-lived child must not outlive a SIGKILLed supervisor."""
+
+    SCRIPT = (
+        "import time\n"
+        "from repro.harness import supervisor\n"
+        "from repro.harness.campaign import Campaign, CampaignSpec\n"
+        "supervisor._simulate = lambda request: time.sleep(120)\n"
+        "spec = CampaignSpec(name='t', apps=('volrend',), cores=(4,),\n"
+        "                    memops=120)\n"
+        "request = Campaign('unused', spec).plan.requests[0]\n"
+        "def on_event(event):\n"
+        "    if event['event'] == 'launch':\n"
+        "        print(event['pid'], flush=True)\n"
+        "supervisor.WorkerSupervisor(workers=2, on_event=on_event).run(\n"
+        "    [('a', request), ('b', request)])\n"
+    )
+
+    @staticmethod
+    def _alive(pid):
+        try:
+            with open(f"/proc/{pid}/stat") as handle:
+                return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+        except OSError:
+            return False
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc"), reason="reads process state from /proc"
+    )
+    def test_children_exit_when_the_supervisor_is_killed(self):
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        victim = subprocess.Popen(
+            [sys.executable, "-c", self.SCRIPT],
+            env=env, stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            pids = [int(victim.stdout.readline()) for _ in range(2)]
+        finally:
+            victim.kill()
+            victim.wait(timeout=30)
+            victim.stdout.close()
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and any(map(self._alive, pids)):
+            time.sleep(0.1)
+        assert not any(map(self._alive, pids)), pids
 
 
 # ----------------------------------------------------------------- campaign
@@ -672,52 +807,53 @@ class TestKillResumeProperty:
             assert status.returncode == 0, status.stdout
             assert "[complete]" in status.stdout
 
-    def test_distributed_sigkill_coordinator_and_worker_resumes(
-        self, tmp_path
-    ):
-        """SIGKILL a worker (chaos drill) *and* the coordinator mid-flight;
-        a distributed resume must merge the shard journals into the exact
-        single-box digest."""
-        reference = tmp_path / "reference"
-        proc = self._run_cli(*self.SPEC_ARGS, "--out", str(reference))
-        assert proc.returncode == 0, proc.stdout
-        want = (reference / "digest.txt").read_bytes()
 
-        directory = tmp_path / "distributed"
-        serve_args = [
-            "campaign", "serve",
-            "--apps", "volrend,radiosity",
-            "--cores", "8",
-            "--memops", "400",
-            "--workers", "2",
-            "--no-cache",
-            "--name", "killtest",
-            "--chaos-kill-after", "1",  # coordinator SIGKILLs one worker
-            "--out", str(directory),
+# --------------------------------------------------- trace-sharded campaign
+
+
+class TestTraceShardedCampaign:
+    def test_digest_matches_across_worker_counts(self, tmp_path):
+        """One recorded trace fanned across local workers by chunk window.
+
+        A ``kind="trace"`` campaign cuts the trace into barrier-safe
+        windows (one run per window per protocol). Every window row must
+        be a genuine shard (cold windowed replay, keyed by the trace's
+        content digest), and two workers must land byte for byte on the
+        one-worker ``results.json``.
+        """
+        from repro.traces import record_app_trace
+
+        trace = tmp_path / "volrend.wtr"
+        info = record_app_trace(
+            trace, APP, CORES, MEMOPS, trace_seed=3, chunk_records=16
+        )
+        spec = CampaignSpec(
+            name="trace-shards",
+            kind="trace",
+            protocols=("baseline", "widir"),
+            trace_path=str(trace),
+            trace_shards=3,
+        )
+        reports = {
+            workers: run_campaign(
+                tmp_path / f"w{workers}", spec,
+                supervisor=_supervisor(workers=workers),
+                executor=Executor(workers=1, use_cache=False),
+            )
+            for workers in (1, 2)
+        }
+        campaign = Campaign.load(tmp_path / "w1")
+        assert any("shard" in label for label in campaign.labels)
+        sharded = [
+            r for r in campaign.plan.requests if r.trace_window is not None
         ]
-        victim = subprocess.Popen(
-            [sys.executable, "-m", "repro", *serve_args],
-            cwd=REPO_ROOT, env=self._env(),
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
-        time.sleep(1.4)
-        if victim.poll() is None:
-            victim.send_signal(signal.SIGKILL)
-        victim.wait(timeout=30)
+        assert len(sharded) == len(campaign.plan.requests) >= 4
+        assert all(r.trace_id == info["trace_id"] for r in sharded)
 
-        # Distributed resume: no --apps means "load the existing manifest".
-        resumed = self._run_cli(
-            "campaign", "serve", "--out", str(directory),
-            "--workers", "2", "--no-cache",
-        )
-        assert resumed.returncode == 0, resumed.stdout
-        got = (directory / "digest.txt").read_bytes()
-        assert got == want, f"distributed resume diverged:\n{resumed.stdout}"
-        assert (directory / "results.json").read_bytes() == (
-            reference / "results.json"
+        one, two = reports[1], reports[2]
+        assert one.ok and two.ok
+        assert one.executed == two.executed == len(sharded)
+        assert two.digest == one.digest
+        assert (tmp_path / "w2" / "results.json").read_bytes() == (
+            tmp_path / "w1" / "results.json"
         ).read_bytes()
-        assert list(iter_stale_tmp(directory)) == []
-        # The merged run is also resumable by the *single-box* engine.
-        status = self._run_cli("campaign", "status", str(directory))
-        assert status.returncode == 0, status.stdout
-        assert "[complete]" in status.stdout

@@ -112,10 +112,16 @@ class TestGrammar:
                 ["sim", "profile", "volrend", "--output", "x"],
                 id="profile-output",
             ),
+            pytest.param(["campaign", "serve", "--out", "x"], id="serve"),
+            pytest.param(["campaign", "worker", "--connect", "h:1"],
+                         id="worker"),
+            pytest.param(["campaign", "submit", "x"], id="submit"),
+            pytest.param(["campaign", "status", "x", "--live"], id="live"),
         ],
     )
     def test_removed_spellings_are_rejected(self, argv, capsys):
-        """The pre-1.2 spellings were removed in 1.2 (docs/API.md)."""
+        """The pre-1.2 spellings were removed in 1.2, and the coordinator
+        verbs and live status flags in 1.3 (docs/API.md)."""
         with pytest.raises(SystemExit) as excinfo:
             _parse(argv)
         assert excinfo.value.code == 2
